@@ -59,9 +59,11 @@ nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch) const {
 }
 
 nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch, nn::Precision precision,
-                                            std::size_t max_window) const {
+                                            std::size_t max_window,
+                                            const CptGptPacked* packed) const {
     nn::DecodeOptions opts;
     opts.max_window = max_window;
+    if (packed != nullptr) opts.packed = &packed->backbone;
     if (precision != nn::Precision::kFp32) {
         CPT_CHECK(quant_ != nullptr,
                   "make_decoder: int8 decoding requires quantize_weights() or a quantized "
@@ -70,6 +72,15 @@ nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch, nn::Precision pre
         opts.kv_fp16 = true;
     }
     return nn::TransformerDecoder(backbone_, batch, opts);
+}
+
+std::shared_ptr<const CptGptPacked> CptGpt::pack_weights() const {
+    auto p = std::make_shared<CptGptPacked>();
+    p->backbone = nn::TransformerPacked::from(backbone_);
+    p->event_head = nn::PackedMlp::from(event_head_);
+    p->ia_head = nn::PackedMlp::from(ia_head_);
+    p->stop_head = nn::PackedMlp::from(stop_head_);
+    return p;
 }
 
 void CptGpt::quantize_weights() {
@@ -90,8 +101,8 @@ CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch) const {
     return make_decode_scratch(batch, nn::Precision::kFp32);
 }
 
-CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch,
-                                                  nn::Precision precision) const {
+CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch, nn::Precision precision,
+                                                  const CptGptPacked* packed) const {
     if (precision == nn::Precision::kInt8W8A32) {
         CPT_CHECK(quant_ != nullptr,
                   "make_decode_scratch: int8 decoding requires quantized weights");
@@ -100,6 +111,7 @@ CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch,
     s.capacity = batch;
     s.batch = batch;
     s.precision = precision;
+    s.packed = packed;
     if (precision == nn::Precision::kInt8W8A32) s.qscratch.ensure(batch, config_.d_model);
     s.event_hidden = nn::Tensor({batch, config_.head_hidden});
     s.ia_hidden = nn::Tensor({batch, config_.head_hidden});
@@ -156,6 +168,14 @@ const CptGpt::DecodeOutput& CptGpt::run_heads(const nn::Tensor& hidden,
         quant_->stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
                                        scratch.out.stop_logits.data().data(), b, scratch.qscratch,
                                        &pool);
+    } else if (scratch.packed != nullptr) {
+        const CptGptPacked& p = *scratch.packed;
+        p.event_head.forward_rows(ph, scratch.event_hidden.data().data(),
+                                  scratch.out.event_logits.data().data(), b, &pool);
+        p.ia_head.forward_rows(ph, scratch.ia_hidden.data().data(), scratch.ia_out.data().data(),
+                               b, &pool);
+        p.stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
+                                 scratch.out.stop_logits.data().data(), b, &pool);
     } else {
         event_head_.forward_rows(ph, scratch.event_hidden.data().data(),
                                  scratch.out.event_logits.data().data(), b, &pool);

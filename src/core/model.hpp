@@ -35,6 +35,21 @@ struct CptGptQuant {
     }
 };
 
+// fp32 decode-path weights packed once (nn::PackedNt): the backbone
+// projections plus the three output heads. Built by CptGpt::pack_weights()
+// and shared read-only by the decoders and head scratches of one Sampler; a
+// snapshot, valid only while the model's weights stay frozen.
+struct CptGptPacked {
+    nn::TransformerPacked backbone;
+    nn::PackedMlp event_head;
+    nn::PackedMlp ia_head;
+    nn::PackedMlp stop_head;
+
+    std::size_t bytes() const {
+        return backbone.bytes() + event_head.bytes() + ia_head.bytes() + stop_head.bytes();
+    }
+};
+
 struct CptGptConfig {
     std::size_t d_model = 64;
     std::size_t heads = 4;
@@ -86,9 +101,17 @@ public:
     // int8 weight path and stores the KV cache as fp16 (requires
     // quantize_weights() or a quantized checkpoint first). `max_window` sizes
     // the decoder arena for speculative multi-token windows (DESIGN.md §16);
-    // 1 keeps the plain one-token stepping footprint.
+    // 1 keeps the plain one-token stepping footprint. `packed` (borrowed,
+    // fp32 only) runs the projections through weights packed by
+    // pack_weights(): the same bits, without a per-step weight transpose.
     nn::TransformerDecoder make_decoder(std::size_t batch, nn::Precision precision,
-                                        std::size_t max_window = 1) const;
+                                        std::size_t max_window = 1,
+                                        const CptGptPacked* packed = nullptr) const;
+
+    // Packs every fp32 decode-path weight once (~K*(N+16) floats per
+    // matrix). The copy does not follow later weight updates: pack after
+    // training, and re-pack after fine-tuning.
+    std::shared_ptr<const CptGptPacked> pack_weights() const;
 
     // Derives the int8 mirror of all decode-path weights from the current
     // fp32 parameters (idempotent: recomputes on every call, so callers can
@@ -109,6 +132,8 @@ public:
         // Numeric mode the heads run in; kInt8W8A32 routes them through the
         // quantized mirrors using qscratch for the activation codes.
         nn::Precision precision = nn::Precision::kFp32;
+        // fp32 heads run through these packed weights when set (borrowed).
+        const CptGptPacked* packed = nullptr;
         nn::QuantScratch qscratch;
         nn::Tensor event_hidden;  // [cap, head_hidden]
         nn::Tensor ia_hidden;
@@ -121,7 +146,8 @@ public:
         DecodeOutput out;
     };
     DecodeScratch make_decode_scratch(std::size_t batch) const;
-    DecodeScratch make_decode_scratch(std::size_t batch, nn::Precision precision) const;
+    DecodeScratch make_decode_scratch(std::size_t batch, nn::Precision precision,
+                                      const CptGptPacked* packed = nullptr) const;
 
     // Feeds one token per row ([B, d_token]) and returns the heads' outputs
     // for that position. Numerically equivalent to forward() at the last

@@ -33,6 +33,8 @@ Sampler::Sampler(const CptGpt& model, const Tokenizer& tokenizer,
         CPT_CHECK(model.has_quantized_weights(),
                   "Sampler: precision int8_w8a32 requires CptGpt::quantize_weights() (or a "
                   "quantized checkpoint) before constructing the sampler");
+    } else {
+        packed_ = model.pack_weights();
     }
     config_.max_stream_len = std::min(config_.max_stream_len, model.config().max_seq_len);
     CPT_CHECK_GE(config_.max_stream_len, std::size_t{2},
@@ -318,8 +320,10 @@ std::vector<trace::Stream> Sampler::generate_batch(std::span<util::Rng> rngs,
     // Everything on the per-step path — the input tensor, the decoder and
     // head scratch, and the sampling buffers — is allocated once up front,
     // so the steady-state loop is allocation-free outside of stream output.
-    nn::TransformerDecoder decoder = model_->make_decoder(batch, config_.precision);
-    CptGpt::DecodeScratch decode_scratch = model_->make_decode_scratch(batch, config_.precision);
+    nn::TransformerDecoder decoder =
+        model_->make_decoder(batch, config_.precision, 1, packed_.get());
+    CptGpt::DecodeScratch decode_scratch =
+        model_->make_decode_scratch(batch, config_.precision, packed_.get());
     SampleScratch sample_scratch;
     nn::Tensor input_full({batch, d_token});
     nn::Tensor input = input_full;
@@ -398,9 +402,10 @@ std::vector<trace::Stream> Sampler::generate_batch_spec(std::span<util::Rng> rng
         }
     }
 
-    nn::TransformerDecoder decoder = model_->make_decoder(batch, config_.precision, d);
+    nn::TransformerDecoder decoder =
+        model_->make_decoder(batch, config_.precision, d, packed_.get());
     CptGpt::DecodeScratch decode_scratch =
-        model_->make_decode_scratch(batch * d, config_.precision);
+        model_->make_decode_scratch(batch * d, config_.precision, packed_.get());
     SampleScratch sample_scratch;
     SpecDrafter::Scratch draft_scratch;
     nn::Tensor input_full({batch, d_token});
@@ -612,8 +617,9 @@ struct Sampler::SlotBatch::Impl {
         : sampler(&s),
           capacity(cap),
           spec_w(s.spec_enabled() ? s.config_.spec_k - 1 : 1),
-          decoder(s.model_->make_decoder(cap, s.config_.precision, spec_w)),
-          scratch(s.model_->make_decode_scratch(cap * spec_w, s.config_.precision)),
+          decoder(s.model_->make_decoder(cap, s.config_.precision, spec_w, s.packed_.get())),
+          scratch(s.model_->make_decode_scratch(cap * spec_w, s.config_.precision,
+                                                s.packed_.get())),
           input_full({cap, s.tokenizer_->d_token()}),
           input(input_full),
           window_full({cap * spec_w, s.tokenizer_->d_token()}) {

@@ -25,6 +25,13 @@
 // (see src/nn/gemm.hpp), so generate() output is byte-identical for any
 // CPT_THREADS setting (pinned by tests/parallel_determinism_test.cpp).
 //
+// Packed weights: an fp32 Sampler packs every decode-path weight once at
+// construction (CptGpt::pack_weights) and shares that read-only copy with
+// every decoder and head scratch it creates, so decode steps skip the
+// per-call weight transpose. The copy is a snapshot: the model's weights
+// must stay frozen for the life of the Sampler — build a new Sampler after
+// training or fine-tuning the model.
+//
 // If the model is so degenerate that almost every draw is shorter than 2
 // events, generate() gives up after sampling ~20x the requested stream count,
 // logs a warning to stderr, and returns the (possibly short) dataset rather
@@ -263,6 +270,9 @@ private:
     const Tokenizer* tokenizer_;
     std::vector<double> initial_event_dist_;
     SamplerConfig config_;
+    // fp32 decode weights packed at construction (null for int8); shared
+    // by copies of this Sampler.
+    std::shared_ptr<const CptGptPacked> packed_;
 };
 
 }  // namespace cpt::core

@@ -489,6 +489,28 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
     });
 }
 
+PackedNt::PackedNt(const float* b, std::size_t k_dim, std::size_t n_dim)
+    : k_dim_(k_dim), n_dim_(n_dim), raw_(b) {
+    const std::size_t panels = (n_dim + detail::kPanelCols - 1) / detail::kPanelCols;
+    panels_.assign(panels * k_dim * (detail::kPanelCols + detail::kPanelPad), 0.0f);
+    for (std::size_t p = 0; p < panels; ++p) {
+        const std::size_t n0 = p * detail::kPanelCols;
+        const std::size_t nb = std::min(detail::kPanelCols, n_dim - n0);
+        detail::pack_nt_panel(b, k_dim, n0, nb, nb + detail::kPanelPad,
+                              panels_.data() + p * k_dim * (detail::kPanelCols + detail::kPanelPad));
+    }
+}
+
+void gemm_nt_packed(const float* a, const PackedNt& b, float* c, std::size_t m_dim,
+                    util::ThreadPool* pool) {
+    if (m_dim == 0 || b.k_dim() == 0 || b.n_dim() == 0) return;
+    if (m_dim >= 8 && util::active_simd_tier() == SimdTier::kAvx2) {
+        detail::gemm_nt_packed_avx2(a, b.panels(), c, m_dim, b.k_dim(), b.n_dim(), pick(pool));
+        return;
+    }
+    gemm_nt(a, b.raw(), c, m_dim, b.k_dim(), b.n_dim(), pool);
+}
+
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
              std::size_t n_dim, util::ThreadPool* pool) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
@@ -545,5 +567,20 @@ void gemm_tn_ref(const float* a, const float* b, float* c, std::size_t m_dim, st
         }
     }
 }
+
+namespace detail {
+
+void pack_nt_panel(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
+                   std::size_t ldp, float* dst) {
+    // Reads walk B rows contiguously; the strided stores land on ldp-float
+    // rows, which the pad keeps off a power-of-two stride.
+    for (std::size_t j = 0; j < nb; ++j) {
+        const float* brow = b + (n0 + j) * k_dim;
+        for (std::size_t k = 0; k < k_dim; ++k) dst[k * ldp + j] = brow[k];
+    }
+    for (std::size_t k = 0; k < k_dim; ++k) std::fill(dst + k * ldp + nb, dst + (k + 1) * ldp, 0.0f);
+}
+
+}  // namespace detail
 
 }  // namespace cpt::nn

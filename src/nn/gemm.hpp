@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "util/thread_pool.hpp"
 
@@ -46,6 +47,34 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
 // C[M,N] += A^T * B where A is stored [K,M], B is [K,N]
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
              std::size_t n_dim, util::ThreadPool* pool = nullptr);
+
+// The B operand of gemm_nt ([N,K] row-major — a Linear weight) repacked once
+// into the transposed panels the avx2 broadcast micro-kernel reads, so
+// callers that multiply by the same matrix many times (decode) skip the
+// per-call transpose gemm_nt pays. A snapshot: later writes to the source
+// matrix are not seen. About (K * (N + 16)) floats per 256-column panel.
+class PackedNt {
+public:
+    PackedNt() = default;
+    PackedNt(const float* b, std::size_t k_dim, std::size_t n_dim);
+
+    std::size_t k_dim() const { return k_dim_; }
+    std::size_t n_dim() const { return n_dim_; }
+    const float* raw() const { return raw_; }
+    const float* panels() const { return panels_.data(); }
+    std::size_t bytes() const { return panels_.size() * sizeof(float); }
+
+private:
+    std::size_t k_dim_ = 0;
+    std::size_t n_dim_ = 0;
+    const float* raw_ = nullptr;  // borrowed source, for the tiers that do not read panels
+    std::vector<float> panels_;
+};
+
+// C[M,N] += A[M,K] * B^T with B packed: the same bits as gemm_nt on the
+// source matrix, on every tier.
+void gemm_nt_packed(const float* a, const PackedNt& b, float* c, std::size_t m_dim,
+                    util::ThreadPool* pool = nullptr);
 
 // Naive single-threaded reference kernels (triple loop, ascending-k dot
 // products). Retained for the bit-exactness tests and the perf baseline in

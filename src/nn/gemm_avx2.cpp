@@ -25,19 +25,17 @@ namespace cpt::nn::detail {
 
 namespace {
 
-constexpr std::size_t kMr = 4;    // A rows per register tile
-constexpr std::size_t kNr = 16;   // C columns per register tile (2 ymm)
-constexpr std::size_t kNc = 256;  // B panel width kept cache-resident
 constexpr std::size_t kMinChunkFlops = 1 << 18;
 
 std::size_t row_grain(std::size_t k_dim, std::size_t n_dim) {
     return util::grain_for(2 * k_dim * n_dim, kMinChunkFlops);
 }
 
-// ---- NN / TN broadcast micro-kernels -----------------------------------------
-// Per C element: acc = fma(a, b, acc) in ascending k, one accumulator. The
-// only difference between NN and TN is how A is indexed, so the micro-kernels
-// take a stride pair (row_stride, k_stride): NN reads a[i*lda + k], TN reads
+// ---- Broadcast micro-kernels (NN, TN and panel-packed NT) -------------------
+// Per C element: acc = fma(a[i,k], b[k,j], acc) in ascending k from acc = 0,
+// then c += acc — one chain whatever tile, row split or thread computes the
+// element. Tiles only decide how many A broadcasts and B loads are shared.
+// NN and TN differ only in how A is indexed: NN reads a[i*lda + k], TN reads
 // a[k*lda + i].
 
 template <bool kATransposed>
@@ -46,39 +44,97 @@ inline float a_at(const float* a, std::size_t lda, std::size_t i, std::size_t k)
 }
 
 template <bool kATransposed>
-void micro_bcast_fixed(const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
-                       std::size_t ldc, std::size_t k_dim) {
-    __m256 acc[kMr][2] = {};
+inline const float* a_row(const float* a, std::size_t lda, std::size_t i) {
+    return kATransposed ? a + i : a + i * lda;
+}
+
+// MR rows x NV ymm columns. kTail (NV == 1 only) masks the columns at and
+// past `tail` lanes: B and C lanes there are neither read nor written.
+template <bool kATransposed, std::size_t MR, std::size_t NV, bool kTail>
+void bcast_tile(const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
+                std::size_t ldc, std::size_t k_dim, __m256i tail) {
+    static_assert(!kTail || NV == 1);
+    __m256 acc[MR][NV];
+    for (std::size_t i = 0; i < MR; ++i) {
+        for (std::size_t v = 0; v < NV; ++v) acc[i][v] = _mm256_setzero_ps();
+    }
     for (std::size_t k = 0; k < k_dim; ++k) {
         const float* brow = b + k * ldb;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        for (std::size_t i = 0; i < kMr; ++i) {
-            const __m256 av = _mm256_set1_ps(a_at<kATransposed>(a, lda, i, k));
-            acc[i][0] = _mm256_fmadd_ps(av, b0, acc[i][0]);
-            acc[i][1] = _mm256_fmadd_ps(av, b1, acc[i][1]);
+        __m256 av[MR];
+        for (std::size_t i = 0; i < MR; ++i) av[i] = _mm256_set1_ps(a_at<kATransposed>(a, lda, i, k));
+        for (std::size_t v = 0; v < NV; ++v) {
+            const __m256 bv = kTail ? _mm256_maskload_ps(brow, tail) : _mm256_loadu_ps(brow + 8 * v);
+            for (std::size_t i = 0; i < MR; ++i) acc[i][v] = _mm256_fmadd_ps(av[i], bv, acc[i][v]);
         }
     }
-    for (std::size_t i = 0; i < kMr; ++i) {
+    for (std::size_t i = 0; i < MR; ++i) {
         float* crow = c + i * ldc;
-        _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[i][0]));
-        _mm256_storeu_ps(crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[i][1]));
+        for (std::size_t v = 0; v < NV; ++v) {
+            if (kTail) {
+                _mm256_maskstore_ps(crow, tail,
+                                    _mm256_add_ps(_mm256_maskload_ps(crow, tail), acc[i][v]));
+            } else {
+                float* cv = crow + 8 * v;
+                _mm256_storeu_ps(cv, _mm256_add_ps(_mm256_loadu_ps(cv), acc[i][v]));
+            }
+        }
     }
 }
 
-template <bool kATransposed>
-void micro_bcast_edge(const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
-                      std::size_t ldc, std::size_t k_dim, std::size_t mr, std::size_t nr) {
-    float acc[kMr][kNr] = {};
-    for (std::size_t k = 0; k < k_dim; ++k) {
-        const float* brow = b + k * ldb;
-        for (std::size_t i = 0; i < mr; ++i) {
-            const float av = a_at<kATransposed>(a, lda, i, k);
-            for (std::size_t j = 0; j < nr; ++j) acc[i][j] = std::fma(av, brow[j], acc[i][j]);
+// One MR-row tile across nb columns: the widest column tile whose MR * NV
+// accumulators, MR broadcasts and one B vector fit the 16 ymm registers, then
+// narrower tiles, then one masked tile for the last nb % 8 columns.
+template <bool kATransposed, std::size_t MR>
+void bcast_row_tile(const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
+                    std::size_t ldc, std::size_t k_dim, std::size_t nb) {
+    constexpr std::size_t kNv = MR == 1 ? 8 : (MR == 4 ? 2 : 4);
+    const __m256i none = _mm256_setzero_si256();
+    std::size_t j = 0;
+    for (; j + 8 * kNv <= nb; j += 8 * kNv) {
+        bcast_tile<kATransposed, MR, kNv, false>(a, lda, b + j, ldb, c + j, ldc, k_dim, none);
+    }
+    if constexpr (kNv > 4) {
+        if (j + 32 <= nb) {
+            bcast_tile<kATransposed, MR, 4, false>(a, lda, b + j, ldb, c + j, ldc, k_dim, none);
+            j += 32;
         }
     }
-    for (std::size_t i = 0; i < mr; ++i) {
-        for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += acc[i][j];
+    if constexpr (kNv > 2) {
+        if (j + 16 <= nb) {
+            bcast_tile<kATransposed, MR, 2, false>(a, lda, b + j, ldb, c + j, ldc, k_dim, none);
+            j += 16;
+        }
+    }
+    if constexpr (kNv > 1) {
+        if (j + 8 <= nb) {
+            bcast_tile<kATransposed, MR, 1, false>(a, lda, b + j, ldb, c + j, ldc, k_dim, none);
+            j += 8;
+        }
+    }
+    if (j < nb) {
+        const __m256i tail = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nb - j)),
+                                                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        bcast_tile<kATransposed, MR, 1, true>(a, lda, b + j, ldb, c + j, ldc, k_dim, tail);
+    }
+}
+
+// C[0:rows, 0:nb] += A[0:rows, :] * B[:, 0:nb]: four-row tiles, then one
+// tile of the remaining 1-3 rows.
+template <bool kATransposed>
+void bcast_rows(const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
+                std::size_t ldc, std::size_t k_dim, std::size_t nb, std::size_t rows) {
+    std::size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        bcast_row_tile<kATransposed, 4>(a_row<kATransposed>(a, lda, i), lda, b, ldb, c + i * ldc,
+                                        ldc, k_dim, nb);
+    }
+    const float* ar = a_row<kATransposed>(a, lda, i);
+    float* cr = c + i * ldc;
+    switch (rows - i) {
+        case 3: bcast_row_tile<kATransposed, 3>(ar, lda, b, ldb, cr, ldc, k_dim, nb); break;
+        case 2: bcast_row_tile<kATransposed, 2>(ar, lda, b, ldb, cr, ldc, k_dim, nb); break;
+        case 1: bcast_row_tile<kATransposed, 1>(ar, lda, b, ldb, cr, ldc, k_dim, nb); break;
+        default: break;
     }
 }
 
@@ -86,24 +142,10 @@ template <bool kATransposed>
 void gemm_bcast_rows(const float* a, const float* b, float* c, std::size_t m_dim,
                      std::size_t k_dim, std::size_t n_dim, std::size_t r0, std::size_t r1) {
     const std::size_t lda = kATransposed ? m_dim : k_dim;
-    for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
-        const std::size_t nb = std::min(kNc, n_dim - n0);
-        for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-            const std::size_t mr = std::min(kMr, r1 - m0);
-            const float* atile = kATransposed ? a + m0 : a + m0 * lda;
-            float* crow = c + m0 * n_dim + n0;
-            std::size_t j0 = 0;
-            if (mr == kMr) {
-                for (; j0 + kNr <= nb; j0 += kNr) {
-                    micro_bcast_fixed<kATransposed>(atile, lda, b + n0 + j0, n_dim, crow + j0,
-                                                    n_dim, k_dim);
-                }
-            }
-            for (; j0 < nb; j0 += kNr) {
-                micro_bcast_edge<kATransposed>(atile, lda, b + n0 + j0, n_dim, crow + j0, n_dim,
-                                               k_dim, mr, std::min(kNr, nb - j0));
-            }
-        }
+    for (std::size_t n0 = 0; n0 < n_dim; n0 += kPanelCols) {
+        const std::size_t nb = std::min(kPanelCols, n_dim - n0);
+        bcast_rows<kATransposed>(a_row<kATransposed>(a, lda, r0), lda, b + n0, n_dim,
+                                 c + r0 * n_dim + n0, n_dim, k_dim, nb, r1 - r0);
     }
 }
 
@@ -234,8 +276,10 @@ void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
                   std::size_t n_dim, util::ThreadPool& pool) {
     if (m_dim < 8) {
-        // Too few rows to amortise a B transpose (the pack is ~1/m of the
-        // packed path's work). Decode at these shapes is weight-bandwidth
+        // Too few rows to amortise a per-call B transpose: the pack moves
+        // every element of B one at a time while the micro-kernel retires 16
+        // FMAs a cycle, so at m < 8 it costs about as much as the product
+        // itself (callers that reuse B pack it once: PackedNt). Decode at these shapes is weight-bandwidth
         // bound, so parallelise over columns and let each thread stream its
         // B slice once for the whole row tile: the speculative decode window
         // (DESIGN.md §16) lives here, and per-row B re-reads would make an
@@ -249,44 +293,36 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
     }
     // Dot-style NT kernels pay a horizontal reduction per output element — at
     // decode/training k (64–256) that is ~a third of the work. Instead pack
-    // each kNc-wide B panel transposed into [k x nb] and reuse the broadcast
+    // each B panel transposed (detail::pack_nt_panel) and reuse the broadcast
     // micro-kernels: no reductions, and the per-element chain (one FMA per
     // ascending k) is the same as the NN path, so thread-count invariance is
     // unchanged. The pack buffer is thread_local and reused across calls.
     static thread_local std::vector<float> bt;
-    for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
-        const std::size_t nb = std::min(kNc, n_dim - n0);
-        // Pad the packed panel's leading dimension so the micro-kernel's
-        // k-walk stride is not a power of two: at ldbt = 256 floats (1 KiB)
-        // consecutive k rows alias to only 4 L1 sets and the tile walk
-        // thrashes the cache (measured 6-9x slowdown at m <= 16). Two ymm
-        // lanes of padding advance the set index by 17 per row instead.
-        const std::size_t ldbt = nb + 16;
-        bt.resize(k_dim * ldbt);
-        float* btp = bt.data();
-        for (std::size_t j = 0; j < nb; ++j) {
-            const float* brow = b + (n0 + j) * k_dim;
-            for (std::size_t k = 0; k < k_dim; ++k) btp[k * ldbt + j] = brow[k];
-        }
+    for (std::size_t n0 = 0; n0 < n_dim; n0 += kPanelCols) {
+        const std::size_t nb = std::min(kPanelCols, n_dim - n0);
+        const std::size_t ldp = nb + kPanelPad;
+        bt.resize(k_dim * ldp);
+        // The lambda runs on other lanes too, where `bt` names their own
+        // thread_local buffer: hand them this thread's by pointer.
+        const float* panel = bt.data();
+        pack_nt_panel(b, k_dim, n0, nb, ldp, bt.data());
         pool.parallel_for(m_dim, row_grain(k_dim, nb), [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-                const std::size_t mr = std::min(kMr, r1 - m0);
-                const float* atile = a + m0 * k_dim;
-                float* crow = c + m0 * n_dim + n0;
-                std::size_t j0 = 0;
-                if (mr == kMr) {
-                    for (; j0 + kNr <= nb; j0 += kNr) {
-                        micro_bcast_fixed<false>(atile, k_dim, btp + j0, ldbt, crow + j0, n_dim,
-                                                 k_dim);
-                    }
-                }
-                for (; j0 < nb; j0 += kNr) {
-                    micro_bcast_edge<false>(atile, k_dim, btp + j0, ldbt, crow + j0, n_dim, k_dim,
-                                            mr, std::min(kNr, nb - j0));
-                }
-            }
+            bcast_rows<false>(a + r0 * k_dim, k_dim, panel, ldp, c + r0 * n_dim + n0, n_dim,
+                              k_dim, nb, r1 - r0);
         });
     }
+}
+
+void gemm_nt_packed_avx2(const float* a, const float* panels, float* c, std::size_t m_dim,
+                         std::size_t k_dim, std::size_t n_dim, util::ThreadPool& pool) {
+    pool.parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t n0 = 0; n0 < n_dim; n0 += kPanelCols) {
+            const std::size_t nb = std::min(kPanelCols, n_dim - n0);
+            const float* panel = panels + (n0 / kPanelCols) * k_dim * (kPanelCols + kPanelPad);
+            bcast_rows<false>(a + r0 * k_dim, k_dim, panel, nb + kPanelPad, c + r0 * n_dim + n0,
+                              n_dim, k_dim, nb, r1 - r0);
+        }
+    });
 }
 
 void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim) {
@@ -318,24 +354,7 @@ void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, s
         }
         return;
     }
-    std::size_t j0 = 0;
-    for (; j0 + kNr <= n_dim; j0 += kNr) {
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        for (std::size_t k = 0; k < k_dim; ++k) {
-            const __m256 av = _mm256_set1_ps(a[k]);
-            const float* brow = b + k * n_dim + j0;
-            acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), acc0);
-            acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), acc1);
-        }
-        _mm256_storeu_ps(c + j0, _mm256_add_ps(_mm256_loadu_ps(c + j0), acc0));
-        _mm256_storeu_ps(c + j0 + 8, _mm256_add_ps(_mm256_loadu_ps(c + j0 + 8), acc1));
-    }
-    for (; j0 < n_dim; ++j0) {
-        float acc = 0.0f;
-        for (std::size_t k = 0; k < k_dim; ++k) acc = std::fma(a[k], b[k * n_dim + j0], acc);
-        c[j0] += acc;
-    }
+    bcast_row_tile<false, 1>(a, k_dim, b, n_dim, c, n_dim, k_dim, n_dim);
 }
 
 void gemv_nt_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim) {
@@ -454,6 +473,10 @@ void gemm_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t, 
 }
 void gemm_tn_avx2(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
                   util::ThreadPool&) {
+    missing();
+}
+void gemm_nt_packed_avx2(const float*, const float*, float*, std::size_t, std::size_t,
+                         std::size_t, util::ThreadPool&) {
     missing();
 }
 void gemv_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }

@@ -10,12 +10,69 @@
 
 namespace cpt::nn {
 
+PackedLinear PackedLinear::from(const Linear& fp) {
+    PackedLinear p;
+    p.weight = PackedNt(fp.weight()->value.data().data(), fp.in_features(), fp.out_features());
+    const auto b = fp.bias()->value.data();
+    p.bias.assign(b.begin(), b.end());
+    return p;
+}
+
+void PackedLinear::forward_rows(const float* x, float* y, std::size_t rows,
+                                util::ThreadPool* pool) const {
+    kernels::fill_bias_rows(y, bias.data(), rows, weight.n_dim(), pool);
+    gemm_nt_packed(x, weight, y, rows, pool);
+}
+
+PackedMlp PackedMlp::from(const Mlp& fp) {
+    PackedMlp p;
+    p.fc1 = PackedLinear::from(fp.fc1());
+    p.fc2 = PackedLinear::from(fp.fc2());
+    return p;
+}
+
+void PackedMlp::forward_rows(const float* x, float* hidden, float* y, std::size_t rows,
+                             util::ThreadPool* pool) const {
+    // Mlp::forward_rows's sequence: zeroed fc1 accumulators, then the fused
+    // bias+GELU epilogue.
+    const std::size_t h = fc1.weight.n_dim();
+    std::fill_n(hidden, rows * h, 0.0f);
+    gemm_nt_packed(x, fc1.weight, hidden, rows, pool);
+    kernels::bias_gelu_rows(hidden, fc1.bias.data(), rows, h, pool);
+    fc2.forward_rows(hidden, y, rows, pool);
+}
+
+TransformerPacked TransformerPacked::from(const Transformer& model) {
+    TransformerPacked p;
+    p.input_proj = PackedLinear::from(model.input_proj());
+    p.blocks.reserve(model.blocks().size());
+    for (const auto& block : model.blocks()) {
+        Block b;
+        b.wq = PackedLinear::from(block->attn().wq());
+        b.wk = PackedLinear::from(block->attn().wk());
+        b.wv = PackedLinear::from(block->attn().wv());
+        b.wo = PackedLinear::from(block->attn().wo());
+        b.mlp = PackedMlp::from(block->mlp());
+        p.blocks.push_back(std::move(b));
+    }
+    return p;
+}
+
+std::size_t TransformerPacked::bytes() const {
+    std::size_t total = input_proj.bytes();
+    for (const auto& b : blocks) {
+        total += b.wq.bytes() + b.wk.bytes() + b.wv.bytes() + b.wo.bytes() + b.mlp.bytes();
+    }
+    return total;
+}
+
 TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t batch)
     : TransformerDecoder(model, batch, DecodeOptions{}) {}
 
 TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t batch,
                                        const DecodeOptions& opts)
-    : model_(&model), quant_(opts.quant), kv_fp16_(opts.kv_fp16), capacity_(batch),
+    : model_(&model), quant_(opts.quant), packed_(opts.quant == nullptr ? opts.packed : nullptr),
+      kv_fp16_(opts.kv_fp16), capacity_(batch),
       batch_(batch), max_window_(std::max<std::size_t>(opts.max_window, 1)) {
     const auto& cfg = model.config();
     CPT_CHECK_GT(batch, std::size_t{0}, " TransformerDecoder: batch must be > 0");
@@ -26,6 +83,11 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
                      " TransformerDecoder: quantized weights do not match the model");
         CPT_CHECK_EQ(quant_->input_proj.in, cfg.d_token,
                      " TransformerDecoder: quantized weights do not match the model");
+    }
+    if (packed_ != nullptr) {
+        CPT_CHECK(packed_->blocks.size() == cfg.blocks &&
+                      packed_->input_proj.weight.k_dim() == cfg.d_token,
+                  "TransformerDecoder: packed weights do not match the model");
     }
     caches_.resize(cfg.blocks);
     len_.assign(batch, 0);
@@ -135,6 +197,8 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
     // bias row.
     if (quant_ != nullptr) {
         quant_->input_proj.forward_rows(x.data().data(), ph, m, qscratch_, &pool);
+    } else if (packed_ != nullptr) {
+        packed_->input_proj.forward_rows(x.data().data(), ph, m, &pool);
     } else {
         model_->input_proj().forward_rows(x.data().data(), ph, m, &pool);
     }
@@ -153,12 +217,16 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
     for (std::size_t bi = 0; bi < caches_.size(); ++bi) {
         const auto& block = *model_->blocks()[bi];
         const TransformerQuant::Block* qb = quant_ != nullptr ? &quant_->blocks[bi] : nullptr;
+        const TransformerPacked::Block* pb = packed_ != nullptr ? &packed_->blocks[bi] : nullptr;
         BlockCache& cache = caches_[bi];
-        // Projection dispatcher: int8 weights when quantized, fp32 otherwise.
-        const auto proj = [&](const Linear& fp, const QuantLinear* q, const float* in,
-                              float* out) {
+        // Projection dispatcher: int8 weights when quantized, else the packed
+        // fp32 weights when shared, else the model's own Linear.
+        const auto proj = [&](const Linear& fp, const QuantLinear* q, const PackedLinear* p,
+                              const float* in, float* out) {
             if (q != nullptr) {
                 q->forward_rows(in, out, m, qscratch_, &pool);
+            } else if (p != nullptr) {
+                p->forward_rows(in, out, m, &pool);
             } else {
                 fp.forward_rows(in, out, m, &pool);
             }
@@ -191,17 +259,18 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         kernels::layer_norm_rows(ph, pscratch, block.ln1().gain()->value.data().data(),
                                  block.ln1().bias()->value.data().data(), m, d, 1e-5f,
                                  nullptr, &pool);
-        proj(block.attn().wq(), qb != nullptr ? &qb->wq : nullptr, pscratch, q_.data().data());
+        proj(block.attn().wq(), qb != nullptr ? &qb->wq : nullptr,
+             pb != nullptr ? &pb->wq : nullptr, pscratch, q_.data().data());
         // New K/V rows go straight into the cache — the whole window before
         // attention runs, so window token j can attend to the window tokens
         // appended before it.
         {
-            proj(block.attn().wk(), qb != nullptr ? &qb->wk : nullptr, pscratch,
-                 kv_.data().data());
+            proj(block.attn().wk(), qb != nullptr ? &qb->wk : nullptr,
+                 pb != nullptr ? &pb->wk : nullptr, pscratch, kv_.data().data());
             append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.k.data().data(),
                       kv_fp16_ ? cache.kh.data() : nullptr);
-            proj(block.attn().wv(), qb != nullptr ? &qb->wv : nullptr, pscratch,
-                 kv_.data().data());
+            proj(block.attn().wv(), qb != nullptr ? &qb->wv : nullptr,
+                 pb != nullptr ? &pb->wv : nullptr, pscratch, kv_.data().data());
             append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
                       kv_fp16_ ? cache.vh.data() : nullptr);
         }
@@ -254,8 +323,8 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
                     }
                 });
         }
-        proj(block.attn().wo(), qb != nullptr ? &qb->wo : nullptr, pscratch,
-             attn_out_.data().data());
+        proj(block.attn().wo(), qb != nullptr ? &qb->wo : nullptr,
+             pb != nullptr ? &pb->wo : nullptr, pscratch, attn_out_.data().data());
         hstate_.add_(attn_out_);
 
         // ---- MLP branch: ln2 -> fc1 -> fused bias+gelu -> fc2
@@ -266,6 +335,9 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         if (qb != nullptr) {
             qb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(),
                                  m, qscratch_, &pool);
+        } else if (pb != nullptr) {
+            pb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m,
+                                 &pool);
         } else {
             block.mlp().forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(),
                                      m, &pool);

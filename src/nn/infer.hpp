@@ -36,10 +36,55 @@
 #include <span>
 #include <vector>
 
+#include "gemm.hpp"
 #include "modules.hpp"
 #include "quant.hpp"
 
 namespace cpt::nn {
+
+// fp32 mirror of a Linear with its weight packed once (gemm.hpp PackedNt):
+// the same bits as Linear::forward_rows, without the per-call transpose.
+// A snapshot of the weights at from(), so it serves only while they stay
+// frozen; training keeps the raw Linear, whose weights change every step.
+struct PackedLinear {
+    PackedNt weight;
+    std::vector<float> bias;
+
+    static PackedLinear from(const Linear& fp);
+    // y = bias + x W^T (overwrites y).
+    void forward_rows(const float* x, float* y, std::size_t rows,
+                      util::ThreadPool* pool = nullptr) const;
+    std::size_t bytes() const { return weight.bytes() + bias.size() * sizeof(float); }
+};
+
+// Packed mirror of Mlp: the same bits as Mlp::forward_rows.
+struct PackedMlp {
+    PackedLinear fc1;
+    PackedLinear fc2;
+
+    static PackedMlp from(const Mlp& fp);
+    void forward_rows(const float* x, float* hidden, float* y, std::size_t rows,
+                      util::ThreadPool* pool = nullptr) const;
+    std::size_t bytes() const { return fc1.bytes() + fc2.bytes(); }
+};
+
+// Packed projections of a Transformer backbone, shared read-only by every
+// decoder built over it (DecodeOptions::packed).
+struct TransformerPacked {
+    struct Block {
+        PackedLinear wq;
+        PackedLinear wk;
+        PackedLinear wv;
+        PackedLinear wo;
+        PackedMlp mlp;
+    };
+
+    PackedLinear input_proj;
+    std::vector<Block> blocks;
+
+    static TransformerPacked from(const Transformer& model);
+    std::size_t bytes() const;
+};
 
 // Numeric options for a decoder instance (DESIGN.md §12). `quant` swaps every
 // projection matmul (input proj, q/k/v/o, MLP) for the int8 weight-quantized
@@ -48,9 +93,14 @@ namespace cpt::nn {
 // and memory. The two are independent knobs at this layer; the public
 // Precision::kInt8W8A32 mode enables both. `max_window` sizes the scratch
 // arena for step_window(): the largest per-row token window a single call
-// may feed (1 = plain one-token stepping).
+// may feed (1 = plain one-token stepping). `packed` runs the fp32
+// projections through weights packed once (same bits as the model's own
+// Linear layers, faster); it is ignored when `quant` is set. The packed
+// weights are a snapshot: the model's weights must stay frozen while a
+// decoder built with them is in use.
 struct DecodeOptions {
     const TransformerQuant* quant = nullptr;  // borrowed; must outlive the decoder
+    const TransformerPacked* packed = nullptr;  // borrowed; must outlive the decoder
     bool kv_fp16 = false;
     std::size_t max_window = 1;
 };
@@ -150,6 +200,8 @@ private:
     // quantized weights; qscratch_ holds the per-step activation codes so the
     // quantized hot loop stays allocation-free after warm-up.
     const TransformerQuant* quant_ = nullptr;
+    // Borrowed packed fp32 weights (null: the model's Linear layers).
+    const TransformerPacked* packed_ = nullptr;
     bool kv_fp16_ = false;
     QuantScratch qscratch_;
     std::size_t capacity_ = 0;

@@ -29,6 +29,23 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
 void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
                   std::size_t n_dim, util::ThreadPool& pool);
 
+// Panel layout of an NT product's B ([N,K] row-major) as the broadcast
+// micro-kernels read it: columns in panels of kPanelCols, each panel stored
+// transposed as [K x (nb + kPanelPad)]. The pad keeps the k-walk stride off
+// a power of two: at 256 floats (1 KiB) consecutive k rows alias to only 4
+// L1 sets and the tile walk thrashes the cache (measured 6-9x slowdown at
+// m <= 16); 16 floats of padding advance the set index by 17 per row. Pad
+// columns are zeroed, so a tile may read up to 8 floats past nb.
+inline constexpr std::size_t kPanelCols = 256;
+inline constexpr std::size_t kPanelPad = 16;
+// Transposes B columns [n0, n0 + nb) into dst ([k_dim x ldp], ldp >= nb + 8).
+void pack_nt_panel(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
+                   std::size_t ldp, float* dst);
+// C[M,N] += A[M,K] * B^T over B already packed into consecutive panels (the
+// PackedNt layout: panel p starts at p * k_dim * (kPanelCols + kPanelPad)).
+void gemm_nt_packed_avx2(const float* a, const float* panels, float* c, std::size_t m_dim,
+                         std::size_t k_dim, std::size_t n_dim, util::ThreadPool& pool);
+
 // GEMV fast paths (m == 1, single caller thread — decode-shaped work is far
 // too small to shard). nn: c[n] += sum_k a[k] * B[k,n] with B row-major
 // [K,N]. nt: c[n] += dot(a, B[n,:]) with B row-major [N,K].
