@@ -10,7 +10,7 @@
 #   scripts/check.sh ubsan       # UBSan build (recovery disabled) + full suite
 #   scripts/check.sh asan        # ASan build + full suite
 #   scripts/check.sh tsan        # TSan build + concurrency-labeled tests
-#   scripts/check.sh simd        # Release build; parity+determinism per forced SIMD tier
+#   scripts/check.sh simd        # Release build; parity, determinism and decode row invariance per forced SIMD tier
 #   scripts/check.sh quant       # quant-labeled tests (int8/fp16 decode) per forced SIMD tier
 #   scripts/check.sh serve       # serve-labeled tests + daemon smoke (loadtest, clean drain)
 #   scripts/check.sh router      # 2 backends + router; kill one mid-load, assert clean failover
@@ -148,7 +148,7 @@ stage_simd() {
     for t in $tiers; do
         echo "-- CPT_SIMD=$t: parity + determinism suites"
         CPT_SIMD="$t" run_ctest "$ROOT/build-check-simd" \
-            -R 'SimdParity|GemmBitExact|ParallelDeterminism'
+            -R 'SimdParity|GemmBitExact|ParallelDeterminism|ChurnRowMap|DecodeStepMatchesForward'
     done
 }
 

@@ -102,31 +102,38 @@ void micro_nn_edge(const float* a, std::size_t lda, const float* b, std::size_t 
     }
 }
 
+// C[0:rows, 0:nb] += A[0:rows, :] * B[:, 0:nb] for one B column panel.
 template <MicroNnFn kFixed>
-void gemm_nn_rows(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
-                  std::size_t r0, std::size_t r1) {
-    for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
-        const std::size_t nb = std::min(kNc, n_dim - n0);
-        for (std::size_t m0 = r0; m0 < r1; m0 += kMr) {
-            const std::size_t mr = std::min(kMr, r1 - m0);
-            const float* atile = a + m0 * k_dim;
-            float* crow = c + m0 * n_dim + n0;
-            std::size_t j0 = 0;
-            if (mr == kMr) {
-                for (; j0 + kNr <= nb; j0 += kNr) {
-                    kFixed(atile, k_dim, b + n0 + j0, n_dim, crow + j0, n_dim, k_dim);
-                }
-            }
-            for (; j0 < nb; j0 += kNr) {
-                micro_nn_edge(atile, k_dim, b + n0 + j0, n_dim, crow + j0, n_dim, k_dim, mr,
-                              std::min(kNr, nb - j0));
-            }
+void nn_panel_rows(const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
+                   std::size_t ldc, std::size_t k_dim, std::size_t nb, std::size_t rows) {
+    for (std::size_t m0 = 0; m0 < rows; m0 += kMr) {
+        const std::size_t mr = std::min(kMr, rows - m0);
+        const float* atile = a + m0 * lda;
+        float* crow = c + m0 * ldc;
+        std::size_t j0 = 0;
+        if (mr == kMr) {
+            for (; j0 + kNr <= nb; j0 += kNr) kFixed(atile, lda, b + j0, ldb, crow + j0, ldc, k_dim);
+        }
+        for (; j0 < nb; j0 += kNr) {
+            micro_nn_edge(atile, lda, b + j0, ldb, crow + j0, ldc, k_dim, mr,
+                          std::min(kNr, nb - j0));
         }
     }
 }
 
+template <MicroNnFn kFixed>
+void gemm_nn_rows(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
+                  std::size_t r0, std::size_t r1) {
+    for (std::size_t n0 = 0; n0 < n_dim; n0 += kNc) {
+        nn_panel_rows<kFixed>(a + r0 * k_dim, k_dim, b + n0, n_dim, c + r0 * n_dim + n0, n_dim,
+                              k_dim, std::min(kNc, n_dim - n0), r1 - r0);
+    }
+}
+
 // ---- NT: C[M,N] += A[M,K] * B^T, B stored [N,K] -------------------------------
-// Both operands stream contiguously along k; no packing needed.
+// Both operands stream contiguously along k; no packing needed. m == 1 takes
+// the same kernels (the edge tile, one row), so a row's bits never depend on
+// how many rows share the call.
 
 using MicroNtFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t,
                            std::size_t, std::size_t);
@@ -257,11 +264,10 @@ void gemm_tn_rows(const float* a, const float* b, float* c, std::size_t m_dim, s
     }
 }
 
-// ---- GEMV fast paths (m == 1) -------------------------------------------------
+// ---- GEMV fast paths (nn/tn, m == 1) ------------------------------------------
 // Decode-shaped matmuls are a single output row; the blocked drivers above
-// waste their register tile on them (and the NT gather kernel is actively
-// slower than the seed loop — the PR-1 regression). These paths run on the
-// calling thread: one row is far below any useful parallel grain.
+// waste their register tile on them. These paths run on the calling thread:
+// one row is far below any useful parallel grain.
 //
 // nn/tn with m == 1 are the same computation: c[n] += sum_k a[k] * B[k,n]
 // with a contiguous (A is [1,K] or [K,1]). One ascending-k accumulator per
@@ -346,57 +352,6 @@ void gemv_nn_sse2(const float* a, const float* b, float* c, std::size_t k_dim, s
 }
 #endif
 
-// nt with m == 1: one dot per output along contiguous k. Multiple
-// accumulators reassociate the sum (tolerance vs the reference, pinned by
-// tests); still deterministic — single-threaded and fixed order per shape.
-
-float dot4_scalar(const float* a, const float* b, std::size_t k_dim) {
-    float s0 = 0.0f;
-    float s1 = 0.0f;
-    float s2 = 0.0f;
-    float s3 = 0.0f;
-    std::size_t i = 0;
-    for (; i + 4 <= k_dim; i += 4) {
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-    }
-    float s = (s0 + s1) + (s2 + s3);
-    for (; i < k_dim; ++i) s += a[i] * b[i];
-    return s;
-}
-
-void gemv_nt_scalar(const float* a, const float* b, float* c, std::size_t k_dim,
-                    std::size_t n_dim) {
-    for (std::size_t n = 0; n < n_dim; ++n) c[n] += dot4_scalar(a, b + n * k_dim, k_dim);
-}
-
-#if defined(__SSE2__)
-float dot_sse2(const float* a, const float* b, std::size_t k_dim) {
-    __m128 acc0 = _mm_setzero_ps();
-    __m128 acc1 = _mm_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= k_dim; i += 8) {
-        acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-        acc1 = _mm_add_ps(acc1, _mm_mul_ps(_mm_loadu_ps(a + i + 4), _mm_loadu_ps(b + i + 4)));
-    }
-    for (; i + 4 <= k_dim; i += 4) {
-        acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-    }
-    __m128 s = _mm_add_ps(acc0, acc1);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    float r = _mm_cvtss_f32(s);
-    for (; i < k_dim; ++i) r += a[i] * b[i];
-    return r;
-}
-
-void gemv_nt_sse2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim) {
-    for (std::size_t n = 0; n < n_dim; ++n) c[n] += dot_sse2(a, b + n * k_dim, k_dim);
-}
-#endif
-
 void gemv_nn_dispatch(const float* a, const float* b, float* c, std::size_t k_dim,
                       std::size_t n_dim, SimdTier tier) {
     switch (tier) {
@@ -414,25 +369,6 @@ void gemv_nn_dispatch(const float* a, const float* b, float* c, std::size_t k_di
             break;
     }
     gemv_nn_scalar(a, b, c, k_dim, n_dim);
-}
-
-void gemv_nt_dispatch(const float* a, const float* b, float* c, std::size_t k_dim,
-                      std::size_t n_dim, SimdTier tier) {
-    switch (tier) {
-        case SimdTier::kAvx2:
-            detail::gemv_nt_avx2(a, b, c, k_dim, n_dim);
-            return;
-        case SimdTier::kSse2:
-#if defined(__SSE2__)
-            gemv_nt_sse2(a, b, c, k_dim, n_dim);
-            return;
-#else
-            break;
-#endif
-        case SimdTier::kScalar:
-            break;
-    }
-    gemv_nt_scalar(a, b, c, k_dim, n_dim);
 }
 
 #if defined(__SSE2__)
@@ -471,10 +407,6 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
              std::size_t n_dim, util::ThreadPool* pool) {
     if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
     const SimdTier tier = util::active_simd_tier();
-    if (m_dim == 1) {
-        gemv_nt_dispatch(a, b, c, k_dim, n_dim, tier);
-        return;
-    }
     if (tier == SimdTier::kAvx2) {
         detail::gemm_nt_avx2(a, b, c, m_dim, k_dim, n_dim, pick(pool));
         return;
@@ -490,9 +422,9 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
 }
 
 PackedNt::PackedNt(const float* b, std::size_t k_dim, std::size_t n_dim)
-    : k_dim_(k_dim), n_dim_(n_dim), raw_(b) {
+    : k_dim_(k_dim), n_dim_(n_dim) {
     const std::size_t panels = (n_dim + detail::kPanelCols - 1) / detail::kPanelCols;
-    panels_.assign(panels * k_dim * (detail::kPanelCols + detail::kPanelPad), 0.0f);
+    panels_.resize(panels * k_dim * (detail::kPanelCols + detail::kPanelPad));
     for (std::size_t p = 0; p < panels; ++p) {
         const std::size_t n0 = p * detail::kPanelCols;
         const std::size_t nb = std::min(detail::kPanelCols, n_dim - n0);
@@ -501,14 +433,38 @@ PackedNt::PackedNt(const float* b, std::size_t k_dim, std::size_t n_dim)
     }
 }
 
+const float* PackedNt::panel(std::size_t p) const {
+    return panels_.data() + p * k_dim_ * (detail::kPanelCols + detail::kPanelPad);
+}
+
 void gemm_nt_packed(const float* a, const PackedNt& b, float* c, std::size_t m_dim,
                     util::ThreadPool* pool) {
-    if (m_dim == 0 || b.k_dim() == 0 || b.n_dim() == 0) return;
-    if (m_dim >= 8 && util::active_simd_tier() == SimdTier::kAvx2) {
-        detail::gemm_nt_packed_avx2(a, b.panels(), c, m_dim, b.k_dim(), b.n_dim(), pick(pool));
+    const std::size_t k_dim = b.k_dim();
+    const std::size_t n_dim = b.n_dim();
+    if (m_dim == 0 || k_dim == 0 || n_dim == 0) return;
+    const SimdTier tier = util::active_simd_tier();
+    if (tier == SimdTier::kAvx2) {
+        detail::gemm_nt_packed_avx2(a, b.panel(0), c, m_dim, k_dim, n_dim, pick(pool));
         return;
     }
-    gemm_nt(a, b.raw(), c, m_dim, b.k_dim(), b.n_dim(), pool);
+    // The panels are B transposed, so the NN micro-kernels read them: the
+    // same one-accumulator ascending-k chain per element as the NT kernels.
+    const bool sse2 = tier == SimdTier::kSse2;
+    pick(pool).parallel_for(m_dim, row_grain(k_dim, n_dim), [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t n0 = 0; n0 < n_dim; n0 += detail::kPanelCols) {
+            const std::size_t nb = std::min(detail::kPanelCols, n_dim - n0);
+            const float* panel = b.panel(n0 / detail::kPanelCols);
+            float* crow = c + r0 * n_dim + n0;
+            if (sse2) {
+                nn_panel_rows<kMicroNnSse2>(a + r0 * k_dim, k_dim, panel, nb + detail::kPanelPad,
+                                            crow, n_dim, k_dim, nb, r1 - r0);
+            } else {
+                nn_panel_rows<micro_nn_fixed_scalar>(a + r0 * k_dim, k_dim, panel,
+                                                     nb + detail::kPanelPad, crow, n_dim, k_dim,
+                                                     nb, r1 - r0);
+            }
+        }
+    });
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -572,6 +528,10 @@ namespace detail {
 
 void pack_nt_panel(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
                    std::size_t ldp, float* dst) {
+    if (util::active_simd_tier() == SimdTier::kAvx2) {
+        pack_nt_panel_avx2(b, k_dim, n0, nb, ldp, dst);
+        return;
+    }
     // Reads walk B rows contiguously; the strided stores land on ldp-float
     // rows, which the pad keeps off a power-of-two stride.
     for (std::size_t j = 0; j < nb; ++j) {

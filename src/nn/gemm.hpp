@@ -1,22 +1,23 @@
 // Cache-blocked, register-tiled, multi-threaded GEMM kernels for the nn
 // substrate, dispatched at runtime across three SIMD tiers (scalar, SSE2,
 // AVX2+FMA — see util/cpu.hpp), plus the naive reference kernels they are
-// tested against. Matmuls with m == 1 (the decode-shaped hot path of
-// autoregressive sampling) route through dedicated single-threaded GEMV
-// kernels instead of the blocked drivers.
+// tested against. nn/tn matmuls with m == 1 (decode-shaped) route through
+// dedicated single-threaded GEMV kernels instead of the blocked drivers.
 //
 // All kernels ACCUMULATE into C (callers zero it or rely on fresh tensors)
 // and share one accumulation contract: the floating-point operations
 // producing a C element are a pure function of (element index, shape, active
 // tier). Register tiling changes which elements are computed together, and
 // threading changes which rows are computed where, but never the per-element
-// operation sequence — so every tier is byte-stable across CPT_THREADS.
+// operation sequence — so every tier is byte-stable across CPT_THREADS, and
+// a row's bits do not depend on how many rows share the call (decode batches
+// of any size give each stream the bits of a batch of one).
 // Tier-relative numerics:
 //   * scalar / sse2: a single ascending-k accumulator per element, added to
 //     C exactly once — BIT-IDENTICAL to the reference kernels for every
-//     shape (pinned by tests/nn_gemm_test.cpp), except the nt m == 1 GEMV,
-//     which uses a multi-accumulator dot (tolerance vs the reference).
-//   * avx2: FMA and fixed-tree reductions — tolerance vs the reference,
+//     shape, m == 1 included (pinned by tests/nn_gemm_test.cpp).
+//   * avx2: one FMA chain per element in ascending k, added to C once (NT
+//     through transposed B panels, at every m) — tolerance vs the reference,
 //     still byte-stable across thread counts (tests/nn_simd_parity_test.cpp).
 //
 // The K dimension is deliberately not split (no Kc accumulation blocking):
@@ -60,19 +61,19 @@ public:
 
     std::size_t k_dim() const { return k_dim_; }
     std::size_t n_dim() const { return n_dim_; }
-    const float* raw() const { return raw_; }
-    const float* panels() const { return panels_.data(); }
+    // Panel p: 256 columns (fewer in the last) as [K x (width + 16)].
+    const float* panel(std::size_t p) const;
     std::size_t bytes() const { return panels_.size() * sizeof(float); }
 
 private:
     std::size_t k_dim_ = 0;
     std::size_t n_dim_ = 0;
-    const float* raw_ = nullptr;  // borrowed source, for the tiers that do not read panels
     std::vector<float> panels_;
 };
 
 // C[M,N] += A[M,K] * B^T with B packed: the same bits as gemm_nt on the
-// source matrix, on every tier.
+// source matrix, on every tier and at every m (pinned by
+// tests/nn_gemm_test.cpp).
 void gemm_nt_packed(const float* a, const PackedNt& b, float* c, std::size_t m_dim,
                     util::ThreadPool* pool = nullptr);
 

@@ -3,12 +3,12 @@
 // CPT_CHECK failure — the dispatcher in gemm.cpp never selects this tier
 // unless util::detect_simd_tier() reports it available.
 //
-// Accumulation contract (same as gemm.cpp): every C element is one dot
-// product with a fixed operation order depending only on (element index,
-// shape) — a single ascending-k FMA chain per lane for the broadcast kernels,
-// the canonical dot_fma tree for the k-contiguous kernels — so results are
-// byte-identical across thread counts. Scalar edge paths use std::fma to
-// round exactly like the vector lanes.
+// Accumulation contract (same as gemm.cpp): every float C element is one
+// FMA chain in ascending k from zero, added to C once — for NN, TN and NT
+// (through transposed B panels) at every row count — so results are
+// byte-identical across thread counts, and a row's bits do not depend on how
+// many rows share the call. Scalar and masked edge paths round exactly like
+// the vector lanes.
 #include "simd_detail.hpp"
 
 #include "util/check.hpp"
@@ -149,114 +149,6 @@ void gemm_bcast_rows(const float* a, const float* b, float* c, std::size_t m_dim
     }
 }
 
-// ---- NT: k-contiguous dot kernels --------------------------------------------
-// Every output element uses one canonical sequence — a single 8-wide FMA
-// chain in ascending k, hsum8, then a scalar std::fma tail — no matter which
-// micro-kernel computes it. Register tiles only change how A/B loads are
-// shared, so chunk boundaries and row pairing never change an element's bits.
-
-float dot_fma(const float* a, const float* b, std::size_t k_dim) {
-    const std::size_t k8 = k_dim & ~std::size_t{7};
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t i = 0; i < k8; i += 8) {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
-    }
-    float s = hsum8(acc);
-    for (std::size_t t = k8; t < k_dim; ++t) s = std::fma(a[t], b[t], s);
-    return s;
-}
-
-// One A row x eight B rows (the m == 1 GEMV path): 8 chains, A load shared
-// across all columns.
-void nt_row8(const float* a, const float* b, std::size_t ldb, std::size_t k_dim, float* c) {
-    __m256 acc[8] = {};
-    const std::size_t k8 = k_dim & ~std::size_t{7};
-    for (std::size_t i = 0; i < k8; i += 8) {
-        const __m256 va = _mm256_loadu_ps(a + i);
-        for (std::size_t j = 0; j < 8; ++j) {
-            acc[j] = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + j * ldb + i), acc[j]);
-        }
-    }
-    for (std::size_t j = 0; j < 8; ++j) {
-        const float* brow = b + j * ldb;
-        float s = hsum8(acc[j]);
-        for (std::size_t t = k8; t < k_dim; ++t) s = std::fma(a[t], brow[t], s);
-        c[j] += s;
-    }
-}
-
-void gemm_nt_row(const float* arow, const float* b, float* crow, std::size_t k_dim,
-                 std::size_t n_dim) {
-    std::size_t j0 = 0;
-    for (; j0 + 8 <= n_dim; j0 += 8) nt_row8(arow, b + j0 * k_dim, k_dim, k_dim, crow + j0);
-    for (; j0 < n_dim; ++j0) crow[j0] += dot_fma(arow, b + j0 * k_dim, k_dim);
-}
-
-// M A rows x two B rows per k-step: the B stream is shared across all M rows,
-// so weight traffic for an M-row tile matches a single GEMV pass instead of
-// scaling with M. Every element still gets the canonical chain (one 8-wide
-// FMA chain in ascending k, hsum8, scalar fma tail), so the result is
-// bit-identical to M separate gemm_nt_row calls. M <= 7 keeps the register
-// budget at M*2 accumulators + one A + two B vectors.
-template <std::size_t M>
-void nt_tile_cols(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim,
-                  std::size_t j0, std::size_t j1) {
-    const std::size_t k8 = k_dim & ~std::size_t{7};
-    std::size_t j = j0;
-    for (; j + 2 <= j1; j += 2) {
-        const float* b0 = b + j * k_dim;
-        const float* b1 = b0 + k_dim;
-        __m256 acc[M][2];
-        for (std::size_t r = 0; r < M; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_ps();
-        for (std::size_t i = 0; i < k8; i += 8) {
-            const __m256 vb0 = _mm256_loadu_ps(b0 + i);
-            const __m256 vb1 = _mm256_loadu_ps(b1 + i);
-            for (std::size_t r = 0; r < M; ++r) {
-                const __m256 va = _mm256_loadu_ps(a + r * k_dim + i);
-                acc[r][0] = _mm256_fmadd_ps(va, vb0, acc[r][0]);
-                acc[r][1] = _mm256_fmadd_ps(va, vb1, acc[r][1]);
-            }
-        }
-        for (std::size_t r = 0; r < M; ++r) {
-            const float* arow = a + r * k_dim;
-            float s0 = hsum8(acc[r][0]);
-            float s1 = hsum8(acc[r][1]);
-            for (std::size_t t = k8; t < k_dim; ++t) {
-                s0 = std::fma(arow[t], b0[t], s0);
-                s1 = std::fma(arow[t], b1[t], s1);
-            }
-            c[r * n_dim + j] += s0;
-            c[r * n_dim + j + 1] += s1;
-        }
-    }
-    for (; j < j1; ++j) {
-        const float* brow = b + j * k_dim;
-        for (std::size_t r = 0; r < M; ++r) {
-            c[r * n_dim + j] += dot_fma(a + r * k_dim, brow, k_dim);
-        }
-    }
-}
-
-// Column slice [j0, j1) of an m_dim < 8 NT product in a single row tile, so
-// each B row in the slice is streamed exactly once regardless of m. The A
-// broadcast register is consumed immediately after its two FMAs, so the live
-// set is 2m accumulators + two B vectors + one A vector — 17 registers at
-// m == 7, close enough that any spill stays L1-resident and cheap next to
-// the weight traffic this saves.
-void nt_small_cols(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
-                   std::size_t n_dim, std::size_t j0, std::size_t j1) {
-    switch (m_dim) {
-        case 7: nt_tile_cols<7>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 6: nt_tile_cols<6>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 5: nt_tile_cols<5>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 4: nt_tile_cols<4>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 3: nt_tile_cols<3>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 2: nt_tile_cols<2>(a, b, c, k_dim, n_dim, j0, j1); break;
-        case 1: nt_tile_cols<1>(a, b, c, k_dim, n_dim, j0, j1); break;
-        default: break;
-    }
-}
-
 }  // namespace
 
 void gemm_nn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
@@ -275,28 +167,17 @@ void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
 
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, std::size_t k_dim,
                   std::size_t n_dim, util::ThreadPool& pool) {
-    if (m_dim < 8) {
-        // Too few rows to amortise a per-call B transpose: the pack moves
-        // every element of B one at a time while the micro-kernel retires 16
-        // FMAs a cycle, so at m < 8 it costs about as much as the product
-        // itself (callers that reuse B pack it once: PackedNt). Decode at these shapes is weight-bandwidth
-        // bound, so parallelise over columns and let each thread stream its
-        // B slice once for the whole row tile: the speculative decode window
-        // (DESIGN.md §16) lives here, and per-row B re-reads would make an
-        // m-row window cost ~m GEMVs. Bits match the per-row dot kernels,
-        // so this branch stays interchangeable with gemm_nt_row.
-        const std::size_t col_grain = util::grain_for(2 * k_dim * m_dim, kMinChunkFlops);
-        pool.parallel_for(n_dim, col_grain, [&](std::size_t j0, std::size_t j1) {
-            nt_small_cols(a, b, c, m_dim, k_dim, n_dim, j0, j1);
-        });
-        return;
-    }
     // Dot-style NT kernels pay a horizontal reduction per output element — at
-    // decode/training k (64–256) that is ~a third of the work. Instead pack
-    // each B panel transposed (detail::pack_nt_panel) and reuse the broadcast
-    // micro-kernels: no reductions, and the per-element chain (one FMA per
-    // ascending k) is the same as the NN path, so thread-count invariance is
-    // unchanged. The pack buffer is thread_local and reused across calls.
+    // decode/training k (64–256) that is ~a third of the work — and their
+    // chain differs from the broadcast one. Instead pack each B panel
+    // transposed and reuse the broadcast micro-kernels: no reductions, and
+    // the per-element chain (one FMA per ascending k) is the NN path's at
+    // every m. The pack is not cheap next to the product: it reads and
+    // writes all of B, while the micro-kernel retires 16 FMAs a cycle. For a
+    // 128 x 1024 weight it took ~70 us on a 4-vCPU avx2 host (Xeon, KVM),
+    // about seven one-row products or half a 32-row one. Callers that
+    // multiply by one B many times pack it once (PackedNt, gemm_nt_packed).
+    // The pack buffer is thread_local and reused across calls.
     static thread_local std::vector<float> bt;
     for (std::size_t n0 = 0; n0 < n_dim; n0 += kPanelCols) {
         const std::size_t nb = std::min(kPanelCols, n_dim - n0);
@@ -305,12 +186,50 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
         // The lambda runs on other lanes too, where `bt` names their own
         // thread_local buffer: hand them this thread's by pointer.
         const float* panel = bt.data();
-        pack_nt_panel(b, k_dim, n0, nb, ldp, bt.data());
+        pack_nt_panel_avx2(b, k_dim, n0, nb, ldp, bt.data());
         pool.parallel_for(m_dim, row_grain(k_dim, nb), [&](std::size_t r0, std::size_t r1) {
             bcast_rows<false>(a + r0 * k_dim, k_dim, panel, ldp, c + r0 * n_dim + n0, n_dim,
                               k_dim, nb, r1 - r0);
         });
     }
+}
+
+void pack_nt_panel_avx2(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
+                        std::size_t ldp, float* dst) {
+    const float* src = b + n0 * k_dim;
+    const std::size_t nb8 = nb & ~std::size_t{7};
+    const std::size_t k8 = k_dim & ~std::size_t{7};
+    for (std::size_t j = 0; j < nb8; j += 8) {
+        const float* rows = src + j * k_dim;
+        for (std::size_t k = 0; k < k8; k += 8) {
+            // 8 B rows x 8 k in, 8 k rows x 8 B columns out.
+            __m256 r[8];
+            for (std::size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(rows + i * k_dim + k);
+            __m256 t[8];
+            for (std::size_t i = 0; i < 8; i += 2) {
+                t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+                t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+            }
+            for (std::size_t i = 0; i < 8; i += 4) {
+                r[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+                r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xEE);
+                r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+                r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xEE);
+            }
+            for (std::size_t i = 0; i < 4; ++i) {
+                _mm256_storeu_ps(dst + (k + i) * ldp + j, _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+                _mm256_storeu_ps(dst + (k + i + 4) * ldp + j,
+                                 _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+            }
+        }
+        for (std::size_t k = k8; k < k_dim; ++k) {
+            for (std::size_t i = 0; i < 8; ++i) dst[k * ldp + j + i] = rows[i * k_dim + k];
+        }
+    }
+    for (std::size_t j = nb8; j < nb; ++j) {
+        for (std::size_t k = 0; k < k_dim; ++k) dst[k * ldp + j] = src[j * k_dim + k];
+    }
+    for (std::size_t k = 0; k < k_dim; ++k) std::fill(dst + k * ldp + nb, dst + (k + 1) * ldp, 0.0f);
 }
 
 void gemm_nt_packed_avx2(const float* a, const float* panels, float* c, std::size_t m_dim,
@@ -355,10 +274,6 @@ void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, s
         return;
     }
     bcast_row_tile<false, 1>(a, k_dim, b, n_dim, c, n_dim, k_dim, n_dim);
-}
-
-void gemv_nt_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim) {
-    gemm_nt_row(a, b, c, k_dim, n_dim);
 }
 
 // ---- Int8 GEMV dots (quantized decode path) -----------------------------------
@@ -479,8 +394,11 @@ void gemm_nt_packed_avx2(const float*, const float*, float*, std::size_t, std::s
                          std::size_t, util::ThreadPool&) {
     missing();
 }
+void pack_nt_panel_avx2(const float*, std::size_t, std::size_t, std::size_t, std::size_t,
+                        float*) {
+    missing();
+}
 void gemv_nn_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }
-void gemv_nt_avx2(const float*, const float*, float*, std::size_t, std::size_t) { missing(); }
 void gemv_q8_dots_avx2(const std::uint8_t*, const std::int8_t*, std::int32_t*, std::size_t,
                        std::size_t) {
     missing();

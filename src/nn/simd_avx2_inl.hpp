@@ -32,8 +32,8 @@ inline float hsum8(__m256 v) {
 // Canonical dot product along a contiguous extent: two 8-lane FMA
 // accumulators over 16-element steps, an 8-element step, one fixed-order
 // horizontal sum, then std::fma for the scalar tail (same rounding as the
-// vector lanes). Every AVX2 kernel that needs a k-contiguous dot — gemv_nt,
-// gemm_nt rows, attention scores — goes through this one function, so the
+// vector lanes). Every AVX2 kernel that needs a k-contiguous dot — attention
+// scores, softmax backward — goes through this one function, so the
 // per-element reduction order is a pure function of the extent.
 inline float dot_fma(const float* a, const float* b, std::size_t n) {
     __m256 acc0 = _mm256_setzero_ps();

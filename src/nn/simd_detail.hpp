@@ -38,19 +38,21 @@ void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m_dim, s
 // columns are zeroed, so a tile may read up to 8 floats past nb.
 inline constexpr std::size_t kPanelCols = 256;
 inline constexpr std::size_t kPanelPad = 16;
-// Transposes B columns [n0, n0 + nb) into dst ([k_dim x ldp], ldp >= nb + 8).
+// Transposes B columns [n0, n0 + nb) into dst ([k_dim x ldp], ldp >= nb + 8)
+// and zeroes the pad columns. Pure data movement: the avx2 form (8x8
+// register transposes) writes the same floats as the portable one.
 void pack_nt_panel(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
                    std::size_t ldp, float* dst);
+void pack_nt_panel_avx2(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
+                        std::size_t ldp, float* dst);
 // C[M,N] += A[M,K] * B^T over B already packed into consecutive panels (the
 // PackedNt layout: panel p starts at p * k_dim * (kPanelCols + kPanelPad)).
 void gemm_nt_packed_avx2(const float* a, const float* panels, float* c, std::size_t m_dim,
                          std::size_t k_dim, std::size_t n_dim, util::ThreadPool& pool);
 
-// GEMV fast paths (m == 1, single caller thread — decode-shaped work is far
-// too small to shard). nn: c[n] += sum_k a[k] * B[k,n] with B row-major
-// [K,N]. nt: c[n] += dot(a, B[n,:]) with B row-major [N,K].
+// GEMV fast path (m == 1, single caller thread — decode-shaped work is far
+// too small to shard): c[n] += sum_k a[k] * B[k,n] with B row-major [K,N].
 void gemv_nn_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim);
-void gemv_nt_avx2(const float* a, const float* b, float* c, std::size_t k_dim, std::size_t n_dim);
 
 // Fused elementwise helpers used by kernels.cpp's per-row dispatch.
 float dot_avx2(const float* a, const float* b, std::size_t n);

@@ -3,12 +3,13 @@
 // pinned per SIMD tier. On the scalar and sse2 tiers the comparison is
 // memcmp, not tolerance: those kernels must produce the same bits as the
 // reference for every shape and every thread count, because sampler/world-gen
-// determinism across CPT_THREADS rests on it. The one carve-out is the m = 1
-// NT decode GEMV, whose multi-accumulator dot is tolerance-vs-reference but
-// still byte-stable across thread counts. Cross-tier behaviour (including
-// avx2) is covered by nn_simd_parity_test.
+// determinism across CPT_THREADS rests on it. On every tier, avx2 included,
+// packed gemm_nt gives raw gemm_nt's bits, and an NT row's bits do not depend
+// on how many rows share the call (decode batches of any size). Cross-tier
+// tolerance is covered by nn_simd_parity_test.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -61,7 +62,6 @@ struct Kernel {
     GemmFn blocked;
     RefFn ref;
     const char* name;
-    bool nt = false;
 };
 
 void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t n,
@@ -82,22 +82,13 @@ void check_shape(const Kernel& kernel, std::size_t m, std::size_t k, std::size_t
 
     // Thread-count invariance is unconditional.
     expect_bitwise_equal(c_p4, c_p1, kernel.name, m, k, n);
-    if (kernel.nt && m == 1) {
-        // The NT decode GEMV reassociates the dot across accumulators:
-        // tolerance vs the reference, bits vs itself (checked above).
-        for (std::size_t i = 0; i < c_ref.size(); ++i) {
-            EXPECT_NEAR(c_p1[i], c_ref[i], 1e-4f)
-                << kernel.name << " gemv at shape (1, " << k << ", " << n << ") index " << i;
-        }
-        return;
-    }
     expect_bitwise_equal(c_p1, c_ref, kernel.name, m, k, n);
 }
 
 const Kernel kKernels[] = {
-    {gemm_nn, gemm_nn_ref, "gemm_nn", false},
-    {gemm_nt, gemm_nt_ref, "gemm_nt", true},
-    {gemm_tn, gemm_tn_ref, "gemm_tn", false},
+    {gemm_nn, gemm_nn_ref, "gemm_nn"},
+    {gemm_nt, gemm_nt_ref, "gemm_nt"},
+    {gemm_tn, gemm_tn_ref, "gemm_tn"},
 };
 
 TEST(GemmBitExactTest, ModelScaleShapes) {
@@ -164,6 +155,69 @@ TEST(GemmBitExactTest, GlobalPoolPathMatchesExplicitPool) {
         gemm_nn(a.data(), b.data(), c_glob.data(), m, k, n);  // pool = global
         util::set_global_threads(1);
         expect_bitwise_equal(c_glob, c_ref, "gemm_nn(global pool)", m, k, n);
+    }
+}
+
+std::vector<util::SimdTier> all_tiers() {
+    std::vector<util::SimdTier> tiers = bit_exact_tiers();
+    if (util::simd_tier_available(util::SimdTier::kAvx2)) tiers.push_back(util::SimdTier::kAvx2);
+    return tiers;
+}
+
+// Decode shapes: m from one row to a full sampler batch, d_model and MLP
+// widths, and a width that is not a multiple of the 16-column tile. Weights
+// are packed under one tier and multiplied under every tier.
+TEST(GemmBitExactTest, PackedNtMatchesRawAcrossTiers) {
+    std::mt19937 gen(31);
+    const std::size_t k = 128;
+    util::ThreadPool pool1(1);
+    util::ThreadPool pool4(4);
+    for (std::size_t n : {std::size_t{128}, std::size_t{1024}, std::size_t{300}}) {
+        const auto b = random_floats(n * k, gen);
+        for (util::SimdTier pack_tier : all_tiers()) {
+            PackedNt packed;
+            {
+                TierGuard guard(pack_tier);
+                packed = PackedNt(b.data(), k, n);
+            }
+            for (std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 32}) {
+                const auto a = random_floats(m * k, gen);
+                const auto c0 = random_floats(m * n, gen);
+                for (util::SimdTier tier : all_tiers()) {
+                    TierGuard guard(tier);
+                    auto c_raw = c0;
+                    gemm_nt(a.data(), b.data(), c_raw.data(), m, k, n, &pool1);
+                    auto c_packed = c0;
+                    gemm_nt_packed(a.data(), packed, c_packed.data(), m, &pool4);
+                    expect_bitwise_equal(c_packed, c_raw, util::simd_tier_name(tier), m, k, n);
+                }
+            }
+        }
+    }
+}
+
+// Row r of an m-row NT product has the bits of the one-row product of A's
+// row r, on every tier: a decoded stream does not depend on its batch.
+TEST(GemmBitExactTest, NtRowBitsIndependentOfRowCount) {
+    std::mt19937 gen(47);
+    for (const auto& s : {std::array<std::size_t, 2>{128, 1024}, std::array<std::size_t, 2>{9, 128},
+                          std::array<std::size_t, 2>{1024, 128}, std::array<std::size_t, 2>{33, 21}}) {
+        const std::size_t k = s[0], n = s[1];
+        const auto b = random_floats(n * k, gen);
+        const std::size_t m = 13;
+        const auto a = random_floats(m * k, gen);
+        for (util::SimdTier tier : all_tiers()) {
+            TierGuard guard(tier);
+            std::vector<float> c_all(m * n, 0.0f);
+            gemm_nt(a.data(), b.data(), c_all.data(), m, k, n);
+            for (std::size_t r = 0; r < m; ++r) {
+                std::vector<float> c_row(n, 0.0f);
+                gemm_nt(a.data() + r * k, b.data(), c_row.data(), 1, k, n);
+                EXPECT_EQ(std::memcmp(c_row.data(), c_all.data() + r * n, n * sizeof(float)), 0)
+                    << util::simd_tier_name(tier) << " row " << r << " of " << m << " at k=" << k
+                    << " n=" << n;
+            }
+        }
     }
 }
 
