@@ -15,6 +15,7 @@
 #include <limits>
 
 #include "fp16.hpp"
+#include "kernels.hpp"
 
 namespace cpt::nn::detail {
 
@@ -196,6 +197,95 @@ void add_bias_row_avx2(float* row, const float* bias, std::size_t d) {
         _mm256_storeu_ps(row + i, _mm256_add_ps(_mm256_loadu_ps(row + i), _mm256_loadu_ps(bias + i)));
     }
     for (; i < d; ++i) row[i] += bias[i];
+}
+
+// ---- GELU ------------------------------------------------------------------------
+// 0.5 * x * (1 + tanh u) = x / (1 + e^(-2u)), u = c * (x + a x^3): one vector
+// exp and one division instead of a libm tanhf per element. Within 1e-6 of
+// the scalar tier's tanh form over the activations' range (pinned by
+// tests/nn_simd_parity_test.cpp); the row tail runs the same vector code
+// under a mask, so every element of a row gets the same formula.
+
+namespace {
+
+// e^x: x = n ln2 + r with |r| <= ln2 / 2 (Cody-Waite split of ln2), a
+// degree-6 polynomial for e^r (the Cephes expf coefficients), and 2^n from
+// the exponent bits. The clamp keeps 2^n and the GELU quotients below normal
+// floats: e^-87.3 = 1.2e-38, and past e^80 the GELU terms are already below
+// 1e-34 of their scalar counterparts' zero.
+inline __m256 exp256(__m256 x) {
+    x = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-87.3f)), _mm256_set1_ps(80.0f));
+    const __m256 n = _mm256_round_ps(_mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+                                     _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+    r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+    __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+    p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
+    const __m256i bits =
+        _mm256_slli_epi32(_mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+    return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+}
+
+// e^(-2u) for u = c * (x + a x^3).
+inline __m256 gelu_exp(__m256 x) {
+    const __m256 inner = _mm256_fmadd_ps(_mm256_set1_ps(kernels::kGeluA), _mm256_mul_ps(x, x),
+                                         _mm256_set1_ps(1.0f));
+    return exp256(_mm256_mul_ps(_mm256_mul_ps(x, _mm256_set1_ps(-2.0f * kernels::kGeluC)), inner));
+}
+
+inline __m256 gelu256(__m256 x) {
+    return _mm256_div_ps(x, _mm256_add_ps(_mm256_set1_ps(1.0f), gelu_exp(x)));
+}
+
+// gelu'(x) = 0.5 (1 + t) + 0.5 x (1 - t^2) du with t = tanh u; with
+// s = 0.5 (1 + t) = 1 / (1 + e) and 1 - s = e s, that is s + 2 x du e s^2.
+inline __m256 gelu_grad256(__m256 x) {
+    const __m256 e = gelu_exp(x);
+    const __m256 s = _mm256_div_ps(_mm256_set1_ps(1.0f), _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+    const __m256 du = _mm256_mul_ps(
+        _mm256_set1_ps(kernels::kGeluC),
+        _mm256_fmadd_ps(_mm256_set1_ps(3.0f * kernels::kGeluA), _mm256_mul_ps(x, x),
+                        _mm256_set1_ps(1.0f)));
+    const __m256 two_x_du = _mm256_mul_ps(_mm256_add_ps(x, x), du);
+    return _mm256_fmadd_ps(two_x_du, _mm256_mul_ps(_mm256_mul_ps(e, s), s), s);
+}
+
+inline __m256i tail_mask(std::size_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+}  // namespace
+
+void bias_gelu_row_avx2(float* row, const float* bias, std::size_t d) {
+    std::size_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+        const __m256 u = _mm256_add_ps(_mm256_loadu_ps(row + i), _mm256_loadu_ps(bias + i));
+        _mm256_storeu_ps(row + i, gelu256(u));
+    }
+    if (i < d) {
+        const __m256i m = tail_mask(d - i);
+        const __m256 u = _mm256_add_ps(_mm256_maskload_ps(row + i, m), _mm256_maskload_ps(bias + i, m));
+        _mm256_maskstore_ps(row + i, m, gelu256(u));
+    }
+}
+
+void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float* g, float* dx,
+                                 float* scratch, std::size_t d) {
+    for (std::size_t i = 0; i < d; i += 8) {
+        const __m256i m = tail_mask(std::min<std::size_t>(8, d - i));
+        const __m256 u = _mm256_add_ps(_mm256_maskload_ps(x + i, m), _mm256_maskload_ps(bias + i, m));
+        const __m256 t = _mm256_mul_ps(_mm256_maskload_ps(g + i, m), gelu_grad256(u));
+        _mm256_maskstore_ps(scratch + i, m, t);
+        if (dx != nullptr) {
+            _mm256_maskstore_ps(dx + i, m, _mm256_add_ps(_mm256_maskload_ps(dx + i, m), t));
+        }
+    }
 }
 
 // ---- fp16 KV-cache kernels ----------------------------------------------------
@@ -528,6 +618,11 @@ void layer_norm_row_avx2(const float*, float*, const float*, const float*, std::
     missing();
 }
 void add_bias_row_avx2(float*, const float*, std::size_t) { missing(); }
+void bias_gelu_row_avx2(float*, const float*, std::size_t) { missing(); }
+void bias_gelu_backward_row_avx2(const float*, const float*, const float*, float*, float*,
+                                 std::size_t) {
+    missing();
+}
 void fp16_encode_avx2(const float*, std::uint16_t*, std::size_t) { missing(); }
 float dot_f16_avx2(const float*, const std::uint16_t*, std::size_t) { missing(); }
 void axpy_f16_avx2(float, const std::uint16_t*, float*, std::size_t) { missing(); }

@@ -75,6 +75,12 @@ void scale_avx2(float* x, std::size_t n, float s);
 void layer_norm_row_avx2(const float* in, float* out, const float* gain, const float* bias,
                          std::size_t d, float eps, float* stats2);
 void add_bias_row_avx2(float* row, const float* bias, std::size_t d);
+// One row of the fused bias+GELU epilogue and of its backward (kernels.hpp
+// bias_gelu_rows / bias_gelu_backward_rows; dx may be null), through an
+// exp-based GELU within 1e-6 of the scalar tanh form.
+void bias_gelu_row_avx2(float* row, const float* bias, std::size_t d);
+void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float* g, float* dx,
+                                 float* scratch, std::size_t d);
 
 // Int8 decode path (quant.cpp): idot[j] = sum_k a[k] * w[j,k] over 7-bit
 // offset-64 activation codes and int8 weights — VPMADDUBSW + VPMADDWD, exact

@@ -8,6 +8,7 @@
 //     are byte-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -138,10 +139,22 @@ TEST(SimdParityTest, FusedKernelsAgreeAcrossTiers) {
     util::ThreadPool pool1(1);
     util::ThreadPool pool4(4);
 
+    // Dense GELU sweep: x in [-12, 12] at 1e-3 steps in rows of an odd width
+    // (vector body and masked tail), with a small bias and upstream grad.
+    const std::size_t sweep_d = 97;
+    const std::size_t sweep_rows = 24001 / sweep_d + 1;
+    std::vector<float> sweep(sweep_rows * sweep_d);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        sweep[i] = std::min(12.0f, -12.0f + 1e-3f * static_cast<float>(i));
+    }
+    const auto sweep_bias = random_floats(sweep_d, gen, -1e-3f, 1e-3f);
+    const auto sweep_g = random_floats(sweep.size(), gen);
+
     struct Ref {
         std::vector<float> ln, ln_stats, biased, bias_gelu;
         float dot = 0.0f;
         std::vector<float> axpy;
+        std::vector<float> gelu_sweep, gelu_grad_sweep, gelu_dx_sweep;
     } ref;
     for (SimdTier tier : available_tiers()) {
         TierGuard guard(tier);
@@ -166,15 +179,32 @@ TEST(SimdParityTest, FusedKernelsAgreeAcrossTiers) {
         auto bg = x;
         kernels::bias_gelu_rows(bg.data(), bias.data(), rows, d, &pool1);
 
+        auto gs = sweep;
+        kernels::bias_gelu_rows(gs.data(), sweep_bias.data(), sweep_rows, sweep_d, &pool1);
+        auto gs4 = sweep;
+        kernels::bias_gelu_rows(gs4.data(), sweep_bias.data(), sweep_rows, sweep_d, &pool4);
+        expect_same_bits(gs, gs4, "bias_gelu_rows threads");
+        std::vector<float> gg(sweep.size());
+        std::vector<float> gdx(sweep.size(), 0.5f);
+        kernels::bias_gelu_backward_rows(sweep.data(), sweep_bias.data(), sweep_g.data(),
+                                         gdx.data(), gg.data(), sweep_rows, sweep_d, &pool1);
+        std::vector<float> gg4(sweep.size());
+        kernels::bias_gelu_backward_rows(sweep.data(), sweep_bias.data(), sweep_g.data(), nullptr,
+                                         gg4.data(), sweep_rows, sweep_d, &pool4);
+        expect_same_bits(gg, gg4, "bias_gelu_backward_rows threads");
+
         const float dot = kernels::dot(x.data(), x.data() + d, d);
         std::vector<float> ax(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(d));
         kernels::axpy(0.37f, x.data() + d, ax.data(), d);
 
         if (tier == SimdTier::kScalar) {
             ref = {std::move(ln), std::move(ln_stats), std::move(biased), std::move(bg), dot,
-                   std::move(ax)};
+                   std::move(ax), std::move(gs), std::move(gg), std::move(gdx)};
             continue;
         }
+        expect_near_all(gs, ref.gelu_sweep, 1e-6f, "bias_gelu_rows sweep");
+        expect_near_all(gg, ref.gelu_grad_sweep, 1e-6f, "bias_gelu_backward_rows sweep");
+        expect_near_all(gdx, ref.gelu_dx_sweep, 1e-6f, "bias_gelu_backward_rows sweep dx");
         expect_near_all(ln, ref.ln, 1e-5f, "layer_norm_rows");
         expect_near_all(ln_stats, ref.ln_stats, 1e-4f, "layer_norm stats");
         expect_near_all(biased, ref.biased, 0.0f, "add_bias_rows");  // same op order

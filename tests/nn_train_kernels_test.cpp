@@ -8,6 +8,7 @@
 //   * the Adam gscale fold equals pre-scaling the gradient.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
@@ -249,30 +250,44 @@ TEST(TrainKernelsTest, ColSumRowsIsThreadInvariant) {
     }
 }
 
+void check_bias_gelu_backward(const std::vector<float>& x, const std::vector<float>& bias,
+                              const std::vector<float>& g, std::size_t rows, std::size_t d) {
+    // Chain reference: t = g * gelu'(x + bias); dx += t; dbias[j] = sum_r t.
+    std::vector<float> want_dx(rows * d, 0.125f);
+    std::vector<float> want_t(rows * d);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t j = 0; j < d; ++j) {
+            const float u = x[r * d + j] + bias[j];
+            want_t[r * d + j] = g[r * d + j] * kernels::gelu_grad_scalar(u);
+            want_dx[r * d + j] += want_t[r * d + j];
+        }
+    }
+    for (SimdTier tier : available_tiers()) {
+        TierGuard guard(tier);
+        std::vector<float> dx(rows * d, 0.125f);
+        std::vector<float> scratch(rows * d, -7.0f);
+        kernels::bias_gelu_backward_rows(x.data(), bias.data(), g.data(), dx.data(),
+                                         scratch.data(), rows, d);
+        expect_tier_match(dx, want_dx, tier, "bias_gelu_backward dx");
+        expect_tier_match(scratch, want_t, tier, "bias_gelu_backward scratch");
+    }
+}
+
 TEST(TrainKernelsTest, BiasGeluBackwardMatchesChain) {
     std::mt19937 gen(107);
     const auto x = random_floats(kRows * kDim, gen, -2.0f, 2.0f);
     const auto bias = random_floats(kDim, gen);
     const auto g = random_floats(kRows * kDim, gen);
-    // Chain reference: t = g * gelu'(x + bias); dx += t; dbias[j] = sum_r t.
-    std::vector<float> want_dx(kRows * kDim, 0.125f);
-    std::vector<float> want_t(kRows * kDim);
-    for (std::size_t r = 0; r < kRows; ++r) {
-        for (std::size_t j = 0; j < kDim; ++j) {
-            const float u = x[r * kDim + j] + bias[j];
-            want_t[r * kDim + j] = g[r * kDim + j] * kernels::gelu_grad_scalar(u);
-            want_dx[r * kDim + j] += want_t[r * kDim + j];
-        }
+    check_bias_gelu_backward(x, bias, g, kRows, kDim);
+
+    // Dense sweep of the pre-activation over [-12, 12] at 1e-3 steps.
+    const std::size_t rows = 24001 / kDim + 1;
+    std::vector<float> sweep(rows * kDim);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        sweep[i] = std::min(12.0f, -12.0f + 1e-3f * static_cast<float>(i));
     }
-    for (SimdTier tier : available_tiers()) {
-        TierGuard guard(tier);
-        std::vector<float> dx(kRows * kDim, 0.125f);
-        std::vector<float> scratch(kRows * kDim, -7.0f);
-        kernels::bias_gelu_backward_rows(x.data(), bias.data(), g.data(), dx.data(),
-                                         scratch.data(), kRows, kDim);
-        expect_tier_match(dx, want_dx, tier, "bias_gelu_backward dx");
-        expect_tier_match(scratch, want_t, tier, "bias_gelu_backward scratch");
-    }
+    check_bias_gelu_backward(sweep, std::vector<float>(kDim, 0.0f),
+                             random_floats(sweep.size(), gen), rows, kDim);
 }
 
 TEST(TrainKernelsTest, SqnormChainsCarryLikeOneSerialLoop) {
