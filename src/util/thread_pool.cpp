@@ -44,7 +44,9 @@ ChunkPlan plan_chunks(std::size_t n, std::size_t grain, std::size_t threads) {
 
 // One outstanding parallel region at a time; workers park on a condition
 // variable between regions. Chunk c (c >= 1) is executed by worker c - 1 and
-// chunk 0 by the caller, so assignment is static and deterministic.
+// chunk 0 by the caller, so assignment is static and deterministic. `busy`
+// marks the workers as taken: an external caller that finds them taken runs
+// its own chunk plan inline instead of overwriting the live region.
 struct ThreadPool::Impl {
     std::vector<std::thread> workers;
     Mutex mu;
@@ -52,6 +54,7 @@ struct ThreadPool::Impl {
     CondVar done_cv;
 
     // Region state, guarded by mu.
+    bool busy CPT_GUARDED_BY(mu) = false;
     std::uint64_t generation CPT_GUARDED_BY(mu) = 0;
     const std::function<void(std::size_t, std::size_t, std::size_t)>* fn CPT_GUARDED_BY(mu) =
         nullptr;
@@ -129,19 +132,42 @@ void ThreadPool::parallel_chunks(
         return;
     }
 
+    bool claimed = false;
     {
         LockGuard lock(impl_->mu);
-        impl_->fn = &fn;
-        impl_->plan = plan;
-        impl_->pending = plan.chunks - 1;
-        impl_->error = nullptr;
-        ++impl_->generation;
+        if (!impl_->busy) {
+            claimed = true;
+            impl_->busy = true;
+            impl_->fn = &fn;
+            impl_->plan = plan;
+            impl_->pending = plan.chunks - 1;
+            impl_->error = nullptr;
+            ++impl_->generation;
+        }
+    }
+    const bool was_in_worker = tls_in_worker;
+    if (!claimed) {
+        // Another external thread's region holds the workers. Run this
+        // region's chunk plan on the calling thread instead: the same
+        // chunks, each run as a worker would run it (nested regions inline),
+        // so the same bits as a parallel run.
+        tls_in_worker = true;
+        try {
+            for (std::size_t c = 0; c < plan.chunks; ++c) {
+                const auto [b, e] = plan.range(c);
+                fn(c, b, e);
+            }
+        } catch (...) {
+            tls_in_worker = was_in_worker;
+            throw;
+        }
+        tls_in_worker = was_in_worker;
+        return;
     }
     impl_->start_cv.notify_all();
 
     // The caller is lane 0.
     std::exception_ptr my_error;
-    const bool was_in_worker = tls_in_worker;
     tls_in_worker = true;
     try {
         const auto [b, e] = plan.range(0);
@@ -156,6 +182,7 @@ void ThreadPool::parallel_chunks(
         LockGuard lock(impl_->mu);
         while (impl_->pending != 0) impl_->done_cv.wait(impl_->mu);
         impl_->fn = nullptr;
+        impl_->busy = false;
         err = my_error ? my_error : impl_->error;
     }
     if (err) std::rethrow_exception(err);

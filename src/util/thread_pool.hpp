@@ -15,6 +15,12 @@
 // sampler splitting a generation round across decoders) transparently
 // serializes the inner nn-kernel parallelism.
 //
+// Any number of external threads may call into one pool at once (e.g. one
+// serve slice engine per thread on the global pool). The pool runs one
+// region at a time on its workers; a caller that arrives while they are
+// taken runs its region's chunk plan inline on its own thread — the same
+// chunks, so the same results.
+//
 // The global pool is sized by the CPT_THREADS environment variable (default:
 // hardware concurrency) and is created lazily on first use.
 #pragma once
@@ -43,7 +49,8 @@ public:
     // Runs fn(begin, end) over a static chunking of [0, n). Blocks until all
     // chunks finish; the calling thread executes chunk 0. Exceptions thrown
     // by fn are rethrown (first one wins). Runs inline when the pool has one
-    // thread, when only one chunk results, or when called from a worker.
+    // thread, when only one chunk results, when called from a worker, or
+    // when another thread's region holds the workers.
     void parallel_for(std::size_t n, std::size_t grain,
                       const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -1,6 +1,6 @@
 // Tests for the shared parallel substrate: static chunking coverage,
-// grain-size behaviour, nested-region inlining, exception propagation, and
-// the global pool controls.
+// grain-size behaviour, nested-region inlining, exception propagation,
+// concurrent external callers, and the global pool controls.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,6 +100,42 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
     std::atomic<std::size_t> n{0};
     pool.parallel_for(64, 1, [&](std::size_t b, std::size_t e) { n.fetch_add(e - b); });
     EXPECT_EQ(n.load(), 64u);
+}
+
+// Two threads that are not pool workers entering parallel_for at the same
+// time used to hang the pool at 2+ lanes (each overwrote the other's region).
+// Every region must finish, and per-chunk partial sums must equal a serial
+// sum — a region that lost the workers runs the same chunks inline.
+TEST(ThreadPoolTest, ConcurrentExternalCallersComplete) {
+    for (std::size_t lanes : {std::size_t{2}, std::size_t{4}}) {
+        ThreadPool pool(lanes);
+        constexpr std::size_t n = 64;
+        const std::size_t chunks = pool.num_chunks(n, 1);
+        const std::size_t want = n * (n - 1) / 2;
+        std::atomic<std::size_t> wrong{0};
+        auto region = [&] {
+            std::vector<std::size_t> partial(chunks, 0);
+            pool.parallel_chunks(n, 1, [&](std::size_t c, std::size_t b, std::size_t e) {
+                for (std::size_t i = b; i < e; ++i) partial[c] += i;
+            });
+            if (std::accumulate(partial.begin(), partial.end(), std::size_t{0}) != want) {
+                wrong.fetch_add(1);
+            }
+        };
+        std::thread a(region);
+        a.join();
+        std::thread b(region);
+        b.join();
+        std::thread c([&] {
+            for (int i = 0; i < 1000; ++i) region();
+        });
+        std::thread d([&] {
+            for (int i = 0; i < 1000; ++i) region();
+        });
+        c.join();
+        d.join();
+        EXPECT_EQ(wrong.load(), 0u) << lanes << " lanes";
+    }
 }
 
 TEST(ThreadPoolTest, GrainForTargetsMinimumChunkCost) {
