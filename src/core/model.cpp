@@ -60,10 +60,12 @@ nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch) const {
 
 nn::TransformerDecoder CptGpt::make_decoder(std::size_t batch, nn::Precision precision,
                                             std::size_t max_window,
-                                            const CptGptPacked* packed) const {
+                                            std::shared_ptr<const CptGptPacked> packed) const {
     nn::DecodeOptions opts;
     opts.max_window = max_window;
-    if (packed != nullptr) opts.packed = &packed->backbone;
+    if (packed != nullptr) {
+        opts.packed = std::shared_ptr<const nn::TransformerPacked>(packed, &packed->backbone);
+    }
     if (precision != nn::Precision::kFp32) {
         CPT_CHECK(quant_ != nullptr,
                   "make_decoder: int8 decoding requires quantize_weights() or a quantized "
@@ -101,8 +103,8 @@ CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch) const {
     return make_decode_scratch(batch, nn::Precision::kFp32);
 }
 
-CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch, nn::Precision precision,
-                                                  const CptGptPacked* packed) const {
+CptGpt::DecodeScratch CptGpt::make_decode_scratch(
+    std::size_t batch, nn::Precision precision, std::shared_ptr<const CptGptPacked> packed) const {
     if (precision == nn::Precision::kInt8W8A32) {
         CPT_CHECK(quant_ != nullptr,
                   "make_decode_scratch: int8 decoding requires quantized weights");
@@ -111,7 +113,7 @@ CptGpt::DecodeScratch CptGpt::make_decode_scratch(std::size_t batch, nn::Precisi
     s.capacity = batch;
     s.batch = batch;
     s.precision = precision;
-    s.packed = packed;
+    if (precision == nn::Precision::kFp32) s.packed = packed != nullptr ? packed : pack_weights();
     if (precision == nn::Precision::kInt8W8A32) s.qscratch.ensure(batch, config_.d_model);
     s.event_hidden = nn::Tensor({batch, config_.head_hidden});
     s.ia_hidden = nn::Tensor({batch, config_.head_hidden});
@@ -154,7 +156,7 @@ const CptGpt::DecodeOutput& CptGpt::run_heads(const nn::Tensor& hidden,
         }
         scratch.out.stop_logits = scratch.stop_logits_full.first_rows(b);
     }
-    // The heads run through the inference fast path (same per-element
+    // The fp32 heads run through the packed weights (same per-element
     // arithmetic as the autograd modules; pinned by DecodeStepMatchesForwardHeads).
     util::ThreadPool& pool = util::global_pool();
     const float* ph = hidden.data().data();
@@ -168,7 +170,7 @@ const CptGpt::DecodeOutput& CptGpt::run_heads(const nn::Tensor& hidden,
         quant_->stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
                                        scratch.out.stop_logits.data().data(), b, scratch.qscratch,
                                        &pool);
-    } else if (scratch.packed != nullptr) {
+    } else {
         const CptGptPacked& p = *scratch.packed;
         p.event_head.forward_rows(ph, scratch.event_hidden.data().data(),
                                   scratch.out.event_logits.data().data(), b, &pool);
@@ -176,13 +178,6 @@ const CptGpt::DecodeOutput& CptGpt::run_heads(const nn::Tensor& hidden,
                                b, &pool);
         p.stop_head.forward_rows(ph, scratch.stop_hidden.data().data(),
                                  scratch.out.stop_logits.data().data(), b, &pool);
-    } else {
-        event_head_.forward_rows(ph, scratch.event_hidden.data().data(),
-                                 scratch.out.event_logits.data().data(), b, &pool);
-        ia_head_.forward_rows(ph, scratch.ia_hidden.data().data(), scratch.ia_out.data().data(), b,
-                              &pool);
-        stop_head_.forward_rows(ph, scratch.stop_hidden.data().data(),
-                                scratch.out.stop_logits.data().data(), b, &pool);
     }
     const float* pia = scratch.ia_out.data().data();
     float* mu = scratch.out.ia_mu.data().data();
@@ -196,14 +191,6 @@ const CptGpt::DecodeOutput& CptGpt::run_heads(const nn::Tensor& hidden,
         std::copy_n(pia, b, mu);
     }
     return scratch.out;
-}
-
-CptGpt::DecodeOutput CptGpt::decode_step(nn::TransformerDecoder& decoder,
-                                         const nn::Tensor& tokens) const {
-    DecodeScratch scratch = make_decode_scratch(decoder.batch());
-    // Copying the output tensors shares their storage, which outlives the
-    // local scratch.
-    return decode_step(decoder, tokens, scratch);
 }
 
 void CptGpt::collect(const std::string& prefix, std::vector<nn::NamedParam>& out) const {

@@ -101,12 +101,12 @@ public:
     // int8 weight path and stores the KV cache as fp16 (requires
     // quantize_weights() or a quantized checkpoint first). `max_window` sizes
     // the decoder arena for speculative multi-token windows (DESIGN.md §16);
-    // 1 keeps the plain one-token stepping footprint. `packed` (borrowed,
-    // fp32 only) runs the projections through weights packed by
-    // pack_weights(): the same bits, without a per-step weight transpose.
+    // 1 keeps the plain one-token stepping footprint. fp32 decoders run
+    // packed weights: `packed` (from pack_weights()) shares one copy, and
+    // without it the decoder packs its own.
     nn::TransformerDecoder make_decoder(std::size_t batch, nn::Precision precision,
                                         std::size_t max_window = 1,
-                                        const CptGptPacked* packed = nullptr) const;
+                                        std::shared_ptr<const CptGptPacked> packed = nullptr) const;
 
     // Packs every fp32 decode-path weight once (~K*(N+16) floats per
     // matrix). The copy does not follow later weight updates: pack after
@@ -132,8 +132,8 @@ public:
         // Numeric mode the heads run in; kInt8W8A32 routes them through the
         // quantized mirrors using qscratch for the activation codes.
         nn::Precision precision = nn::Precision::kFp32;
-        // fp32 heads run through these packed weights when set (borrowed).
-        const CptGptPacked* packed = nullptr;
+        // Packed weights the fp32 heads run through (null for int8).
+        std::shared_ptr<const CptGptPacked> packed;
         nn::QuantScratch qscratch;
         nn::Tensor event_hidden;  // [cap, head_hidden]
         nn::Tensor ia_hidden;
@@ -145,9 +145,11 @@ public:
         nn::Tensor stop_logits_full;
         DecodeOutput out;
     };
+    // fp32 scratches run the heads through `packed` (from pack_weights()),
+    // or pack their own copy without it.
     DecodeScratch make_decode_scratch(std::size_t batch) const;
     DecodeScratch make_decode_scratch(std::size_t batch, nn::Precision precision,
-                                      const CptGptPacked* packed = nullptr) const;
+                                      std::shared_ptr<const CptGptPacked> packed = nullptr) const;
 
     // Feeds one token per row ([B, d_token]) and returns the heads' outputs
     // for that position. Numerically equivalent to forward() at the last
@@ -156,9 +158,6 @@ public:
     // next call with that scratch.
     const DecodeOutput& decode_step(nn::TransformerDecoder& decoder, const nn::Tensor& tokens,
                                     DecodeScratch& scratch) const;
-    // Convenience overload that builds a one-shot scratch (the returned
-    // tensors keep the storage alive).
-    DecodeOutput decode_step(nn::TransformerDecoder& decoder, const nn::Tensor& tokens) const;
 
     // Speculative verify forward (DESIGN.md §16): feeds counts[r] consecutive
     // tokens per row through TransformerDecoder::step_window and runs the

@@ -321,9 +321,9 @@ std::vector<trace::Stream> Sampler::generate_batch(std::span<util::Rng> rngs,
     // head scratch, and the sampling buffers — is allocated once up front,
     // so the steady-state loop is allocation-free outside of stream output.
     nn::TransformerDecoder decoder =
-        model_->make_decoder(batch, config_.precision, 1, packed_.get());
+        model_->make_decoder(batch, config_.precision, 1, packed_);
     CptGpt::DecodeScratch decode_scratch =
-        model_->make_decode_scratch(batch, config_.precision, packed_.get());
+        model_->make_decode_scratch(batch, config_.precision, packed_);
     SampleScratch sample_scratch;
     nn::Tensor input_full({batch, d_token});
     nn::Tensor input = input_full;
@@ -403,9 +403,9 @@ std::vector<trace::Stream> Sampler::generate_batch_spec(std::span<util::Rng> rng
     }
 
     nn::TransformerDecoder decoder =
-        model_->make_decoder(batch, config_.precision, d, packed_.get());
+        model_->make_decoder(batch, config_.precision, d, packed_);
     CptGpt::DecodeScratch decode_scratch =
-        model_->make_decode_scratch(batch * d, config_.precision, packed_.get());
+        model_->make_decode_scratch(batch * d, config_.precision, packed_);
     SampleScratch sample_scratch;
     SpecDrafter::Scratch draft_scratch;
     nn::Tensor input_full({batch, d_token});
@@ -617,9 +617,9 @@ struct Sampler::SlotBatch::Impl {
         : sampler(&s),
           capacity(cap),
           spec_w(s.spec_enabled() ? s.config_.spec_k - 1 : 1),
-          decoder(s.model_->make_decoder(cap, s.config_.precision, spec_w, s.packed_.get())),
+          decoder(s.model_->make_decoder(cap, s.config_.precision, spec_w, s.packed_)),
           scratch(s.model_->make_decode_scratch(cap * spec_w, s.config_.precision,
-                                                s.packed_.get())),
+                                                s.packed_)),
           input_full({cap, s.tokenizer_->d_token()}),
           input(input_full),
           window_full({cap * spec_w, s.tokenizer_->d_token()}) {

@@ -71,8 +71,7 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
 
 TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t batch,
                                        const DecodeOptions& opts)
-    : model_(&model), quant_(opts.quant), packed_(opts.quant == nullptr ? opts.packed : nullptr),
-      kv_fp16_(opts.kv_fp16), capacity_(batch),
+    : model_(&model), quant_(opts.quant), kv_fp16_(opts.kv_fp16), capacity_(batch),
       batch_(batch), max_window_(std::max<std::size_t>(opts.max_window, 1)) {
     const auto& cfg = model.config();
     CPT_CHECK_GT(batch, std::size_t{0}, " TransformerDecoder: batch must be > 0");
@@ -84,7 +83,10 @@ TransformerDecoder::TransformerDecoder(const Transformer& model, std::size_t bat
         CPT_CHECK_EQ(quant_->input_proj.in, cfg.d_token,
                      " TransformerDecoder: quantized weights do not match the model");
     }
-    if (packed_ != nullptr) {
+    if (quant_ == nullptr) {
+        packed_ = opts.packed != nullptr
+                      ? opts.packed
+                      : std::make_shared<const TransformerPacked>(TransformerPacked::from(model));
         CPT_CHECK(packed_->blocks.size() == cfg.blocks &&
                       packed_->input_proj.weight.k_dim() == cfg.d_token,
                   "TransformerDecoder: packed weights do not match the model");
@@ -197,10 +199,8 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
     // bias row.
     if (quant_ != nullptr) {
         quant_->input_proj.forward_rows(x.data().data(), ph, m, qscratch_, &pool);
-    } else if (packed_ != nullptr) {
-        packed_->input_proj.forward_rows(x.data().data(), ph, m, &pool);
     } else {
-        model_->input_proj().forward_rows(x.data().data(), ph, m, &pool);
+        packed_->input_proj.forward_rows(x.data().data(), ph, m, &pool);
     }
     const float* pos = model_->positions()->value.data().data();
     if (lockstep) {
@@ -219,16 +219,14 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         const TransformerQuant::Block* qb = quant_ != nullptr ? &quant_->blocks[bi] : nullptr;
         const TransformerPacked::Block* pb = packed_ != nullptr ? &packed_->blocks[bi] : nullptr;
         BlockCache& cache = caches_[bi];
-        // Projection dispatcher: int8 weights when quantized, else the packed
-        // fp32 weights when shared, else the model's own Linear.
-        const auto proj = [&](const Linear& fp, const QuantLinear* q, const PackedLinear* p,
-                              const float* in, float* out) {
+        // Projection dispatcher: int8 weights when quantized, packed fp32
+        // weights otherwise.
+        const auto proj = [&](const QuantLinear* q, const PackedLinear* p, const float* in,
+                              float* out) {
             if (q != nullptr) {
                 q->forward_rows(in, out, m, qscratch_, &pool);
-            } else if (p != nullptr) {
-                p->forward_rows(in, out, m, &pool);
             } else {
-                fp.forward_rows(in, out, m, &pool);
+                p->forward_rows(in, out, m, &pool);
             }
         };
         // Scatter the fresh K or V rows into the cache at each token's
@@ -259,17 +257,17 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         kernels::layer_norm_rows(ph, pscratch, block.ln1().gain()->value.data().data(),
                                  block.ln1().bias()->value.data().data(), m, d, 1e-5f,
                                  nullptr, &pool);
-        proj(block.attn().wq(), qb != nullptr ? &qb->wq : nullptr,
+        proj(qb != nullptr ? &qb->wq : nullptr,
              pb != nullptr ? &pb->wq : nullptr, pscratch, q_.data().data());
         // New K/V rows go straight into the cache — the whole window before
         // attention runs, so window token j can attend to the window tokens
         // appended before it.
         {
-            proj(block.attn().wk(), qb != nullptr ? &qb->wk : nullptr,
+            proj(qb != nullptr ? &qb->wk : nullptr,
                  pb != nullptr ? &pb->wk : nullptr, pscratch, kv_.data().data());
             append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.k.data().data(),
                       kv_fp16_ ? cache.kh.data() : nullptr);
-            proj(block.attn().wv(), qb != nullptr ? &qb->wv : nullptr,
+            proj(qb != nullptr ? &qb->wv : nullptr,
                  pb != nullptr ? &pb->wv : nullptr, pscratch, kv_.data().data());
             append_kv(kv_.data().data(), kv_fp16_ ? nullptr : cache.v.data().data(),
                       kv_fp16_ ? cache.vh.data() : nullptr);
@@ -323,7 +321,7 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
                     }
                 });
         }
-        proj(block.attn().wo(), qb != nullptr ? &qb->wo : nullptr,
+        proj(qb != nullptr ? &qb->wo : nullptr,
              pb != nullptr ? &pb->wo : nullptr, pscratch, attn_out_.data().data());
         hstate_.add_(attn_out_);
 
@@ -335,12 +333,9 @@ const Tensor& TransformerDecoder::step_window(const Tensor& x,
         if (qb != nullptr) {
             qb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(),
                                  m, qscratch_, &pool);
-        } else if (pb != nullptr) {
+        } else {
             pb->mlp.forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(), m,
                                  &pool);
-        } else {
-            block.mlp().forward_rows(pscratch, mlp_hidden_.data().data(), attn_out_.data().data(),
-                                     m, &pool);
         }
         hstate_.add_(attn_out_);
     }

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,10 +43,11 @@
 
 namespace cpt::nn {
 
-// fp32 mirror of a Linear with its weight packed once (gemm.hpp PackedNt):
-// the same bits as Linear::forward_rows, without the per-call transpose.
-// A snapshot of the weights at from(), so it serves only while they stay
-// frozen; training keeps the raw Linear, whose weights change every step.
+// fp32 inference mirror of a Linear with its weight packed once (gemm.hpp
+// PackedNt): the same bits as multiplying by the raw weight, without the
+// per-call transpose. A snapshot of the weights at from(), so it serves only
+// while they stay frozen; training keeps the raw Linear, whose weights change
+// every step.
 struct PackedLinear {
     PackedNt weight;
     std::vector<float> bias;
@@ -57,7 +59,9 @@ struct PackedLinear {
     std::size_t bytes() const { return weight.bytes() + bias.size() * sizeof(float); }
 };
 
-// Packed mirror of Mlp: the same bits as Mlp::forward_rows.
+// Packed mirror of Mlp: y = fc2(gelu(fc1(x))) over row-major x [rows, in],
+// y [rows, out], using `hidden` [rows, fc1 width] as scratch; the fc1
+// epilogue is the fused bias+GELU kernel, as in Mlp::forward.
 struct PackedMlp {
     PackedLinear fc1;
     PackedLinear fc2;
@@ -93,14 +97,15 @@ struct TransformerPacked {
 // and memory. The two are independent knobs at this layer; the public
 // Precision::kInt8W8A32 mode enables both. `max_window` sizes the scratch
 // arena for step_window(): the largest per-row token window a single call
-// may feed (1 = plain one-token stepping). `packed` runs the fp32
-// projections through weights packed once (same bits as the model's own
-// Linear layers, faster); it is ignored when `quant` is set. The packed
-// weights are a snapshot: the model's weights must stay frozen while a
-// decoder built with them is in use.
+// may feed (1 = plain one-token stepping). fp32 projections run through
+// packed weights (TransformerPacked): `packed` shares one copy among the
+// decoders built over one set of frozen weights; when it is null an fp32
+// decoder packs its own at construction. Either way the packed weights are a
+// snapshot, so the model's weights must stay frozen while the decoder is in
+// use. `packed` is unused when `quant` is set.
 struct DecodeOptions {
     const TransformerQuant* quant = nullptr;  // borrowed; must outlive the decoder
-    const TransformerPacked* packed = nullptr;  // borrowed; must outlive the decoder
+    std::shared_ptr<const TransformerPacked> packed;
     bool kv_fp16 = false;
     std::size_t max_window = 1;
 };
@@ -200,8 +205,8 @@ private:
     // quantized weights; qscratch_ holds the per-step activation codes so the
     // quantized hot loop stays allocation-free after warm-up.
     const TransformerQuant* quant_ = nullptr;
-    // Borrowed packed fp32 weights (null: the model's Linear layers).
-    const TransformerPacked* packed_ = nullptr;
+    // Packed fp32 projections (null when quantized).
+    std::shared_ptr<const TransformerPacked> packed_;
     bool kv_fp16_ = false;
     QuantScratch qscratch_;
     std::size_t capacity_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gemm.hpp"
-#include "kernels.hpp"
 #include "util/check.hpp"
 
 namespace cpt::nn {
@@ -45,14 +43,6 @@ Var Linear::forward(const Var& x) const {
     return add_bias(matmul_nt(x, weight_), bias_);
 }
 
-void Linear::forward_rows(const float* x, float* y, std::size_t rows,
-                          util::ThreadPool* pool) const {
-    // Rows are pre-filled with the bias, then the NT kernel accumulates
-    // x W^T; per-row arithmetic is independent of the batch/thread split.
-    kernels::fill_bias_rows(y, bias_->value.data().data(), rows, out_, pool);
-    gemm_nt(x, weight_->value.data().data(), y, rows, in_, out_, pool);
-}
-
 void Linear::collect(const std::string& prefix, std::vector<NamedParam>& out) const {
     out.push_back({prefix + "weight", weight_});
     out.push_back({prefix + "bias", bias_});
@@ -76,22 +66,10 @@ Mlp::Mlp(std::size_t in, std::size_t hidden, std::size_t out, util::Rng& rng)
     : fc1_(in, hidden, rng), fc2_(hidden, out, rng) {}
 
 Var Mlp::forward(const Var& x) const {
-    // Fused bias+GELU epilogue on fc1, mirroring forward_rows: same
-    // per-element math as matmul -> add_bias -> gelu with two fewer
-    // activation tensors on the tape.
+    // Fused bias+GELU epilogue on fc1, mirroring PackedMlp::forward_rows
+    // (infer.hpp): same per-element math as matmul -> add_bias -> gelu with
+    // two fewer activation tensors on the tape.
     return fc2_.forward(bias_gelu(matmul_nt(x, fc1_.weight()), fc1_.bias()));
-}
-
-void Mlp::forward_rows(const float* x, float* hidden, float* y, std::size_t rows,
-                       util::ThreadPool* pool) const {
-    const std::size_t h = fc1_.out_features();
-    // fc1 accumulates into zeroed scratch and the bias is folded into the
-    // GELU epilogue: gelu(dot + bias), the same per-element value and order
-    // forward() computes via matmul -> add_bias -> gelu.
-    std::fill_n(hidden, rows * h, 0.0f);
-    gemm_nt(x, fc1_.weight()->value.data().data(), hidden, rows, fc1_.in_features(), h, pool);
-    kernels::bias_gelu_rows(hidden, fc1_.bias()->value.data().data(), rows, h, pool);
-    fc2_.forward_rows(hidden, y, rows, pool);
 }
 
 void Mlp::collect(const std::string& prefix, std::vector<NamedParam>& out) const {
