@@ -112,7 +112,9 @@ void nn_panel_rows(const float* a, std::size_t lda, const float* b, std::size_t 
         float* crow = c + m0 * ldc;
         std::size_t j0 = 0;
         if (mr == kMr) {
-            for (; j0 + kNr <= nb; j0 += kNr) kFixed(atile, lda, b + j0, ldb, crow + j0, ldc, k_dim);
+            for (; j0 + kNr <= nb; j0 += kNr) {
+                kFixed(atile, lda, b + j0, ldb, crow + j0, ldc, k_dim);
+            }
         }
         for (; j0 < nb; j0 += kNr) {
             micro_nn_edge(atile, lda, b + j0, ldb, crow + j0, ldc, k_dim, mr,
@@ -424,12 +426,13 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t m_dim, std::s
 PackedNt::PackedNt(const float* b, std::size_t k_dim, std::size_t n_dim)
     : k_dim_(k_dim), n_dim_(n_dim) {
     const std::size_t panels = (n_dim + detail::kPanelCols - 1) / detail::kPanelCols;
-    panels_.resize(panels * k_dim * (detail::kPanelCols + detail::kPanelPad));
+    const std::size_t panel_floats = k_dim * (detail::kPanelCols + detail::kPanelPad);
+    panels_.resize(panels * panel_floats);
     for (std::size_t p = 0; p < panels; ++p) {
         const std::size_t n0 = p * detail::kPanelCols;
         const std::size_t nb = std::min(detail::kPanelCols, n_dim - n0);
         detail::pack_nt_panel(b, k_dim, n0, nb, nb + detail::kPanelPad,
-                              panels_.data() + p * k_dim * (detail::kPanelCols + detail::kPanelPad));
+                              panels_.data() + p * panel_floats);
     }
 }
 
@@ -538,7 +541,9 @@ void pack_nt_panel(const float* b, std::size_t k_dim, std::size_t n0, std::size_
         const float* brow = b + (n0 + j) * k_dim;
         for (std::size_t k = 0; k < k_dim; ++k) dst[k * ldp + j] = brow[k];
     }
-    for (std::size_t k = 0; k < k_dim; ++k) std::fill(dst + k * ldp + nb, dst + (k + 1) * ldp, 0.0f);
+    for (std::size_t k = 0; k < k_dim; ++k) {
+        std::fill(dst + k * ldp + nb, dst + (k + 1) * ldp, 0.0f);
+    }
 }
 
 }  // namespace detail

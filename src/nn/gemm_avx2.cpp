@@ -61,9 +61,12 @@ void bcast_tile(const float* a, std::size_t lda, const float* b, std::size_t ldb
     for (std::size_t k = 0; k < k_dim; ++k) {
         const float* brow = b + k * ldb;
         __m256 av[MR];
-        for (std::size_t i = 0; i < MR; ++i) av[i] = _mm256_set1_ps(a_at<kATransposed>(a, lda, i, k));
+        for (std::size_t i = 0; i < MR; ++i) {
+            av[i] = _mm256_set1_ps(a_at<kATransposed>(a, lda, i, k));
+        }
         for (std::size_t v = 0; v < NV; ++v) {
-            const __m256 bv = kTail ? _mm256_maskload_ps(brow, tail) : _mm256_loadu_ps(brow + 8 * v);
+            const __m256 bv =
+                kTail ? _mm256_maskload_ps(brow, tail) : _mm256_loadu_ps(brow + 8 * v);
             for (std::size_t i = 0; i < MR; ++i) acc[i][v] = _mm256_fmadd_ps(av[i], bv, acc[i][v]);
         }
     }
@@ -217,7 +220,8 @@ void pack_nt_panel_avx2(const float* b, std::size_t k_dim, std::size_t n0, std::
                 r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xEE);
             }
             for (std::size_t i = 0; i < 4; ++i) {
-                _mm256_storeu_ps(dst + (k + i) * ldp + j, _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+                _mm256_storeu_ps(dst + (k + i) * ldp + j,
+                                 _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
                 _mm256_storeu_ps(dst + (k + i + 4) * ldp + j,
                                  _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
             }
@@ -229,7 +233,9 @@ void pack_nt_panel_avx2(const float* b, std::size_t k_dim, std::size_t n0, std::
     for (std::size_t j = nb8; j < nb; ++j) {
         for (std::size_t k = 0; k < k_dim; ++k) dst[k * ldp + j] = src[j * k_dim + k];
     }
-    for (std::size_t k = 0; k < k_dim; ++k) std::fill(dst + k * ldp + nb, dst + (k + 1) * ldp, 0.0f);
+    for (std::size_t k = 0; k < k_dim; ++k) {
+        std::fill(dst + k * ldp + nb, dst + (k + 1) * ldp, 0.0f);
+    }
 }
 
 void gemm_nt_packed_avx2(const float* a, const float* panels, float* c, std::size_t m_dim,

@@ -270,7 +270,8 @@ void bias_gelu_row_avx2(float* row, const float* bias, std::size_t d) {
     }
     if (i < d) {
         const __m256i m = tail_mask(d - i);
-        const __m256 u = _mm256_add_ps(_mm256_maskload_ps(row + i, m), _mm256_maskload_ps(bias + i, m));
+        const __m256 u =
+            _mm256_add_ps(_mm256_maskload_ps(row + i, m), _mm256_maskload_ps(bias + i, m));
         _mm256_maskstore_ps(row + i, m, gelu256(u));
     }
 }
@@ -279,7 +280,8 @@ void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float*
                                  float* scratch, std::size_t d) {
     for (std::size_t i = 0; i < d; i += 8) {
         const __m256i m = tail_mask(std::min<std::size_t>(8, d - i));
-        const __m256 u = _mm256_add_ps(_mm256_maskload_ps(x + i, m), _mm256_maskload_ps(bias + i, m));
+        const __m256 u =
+            _mm256_add_ps(_mm256_maskload_ps(x + i, m), _mm256_maskload_ps(bias + i, m));
         const __m256 t = _mm256_mul_ps(_mm256_maskload_ps(g + i, m), gelu_grad256(u));
         _mm256_maskstore_ps(scratch + i, m, t);
         if (dx != nullptr) {

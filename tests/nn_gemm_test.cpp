@@ -200,8 +200,8 @@ TEST(GemmBitExactTest, PackedNtMatchesRawAcrossTiers) {
 // row r, on every tier: a decoded stream does not depend on its batch.
 TEST(GemmBitExactTest, NtRowBitsIndependentOfRowCount) {
     std::mt19937 gen(47);
-    for (const auto& s : {std::array<std::size_t, 2>{128, 1024}, std::array<std::size_t, 2>{9, 128},
-                          std::array<std::size_t, 2>{1024, 128}, std::array<std::size_t, 2>{33, 21}}) {
+    const std::array<std::size_t, 2> shapes[] = {{128, 1024}, {9, 128}, {1024, 128}, {33, 21}};
+    for (const auto& s : shapes) {
         const std::size_t k = s[0], n = s[1];
         const auto b = random_floats(n * k, gen);
         const std::size_t m = 13;
