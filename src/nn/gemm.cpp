@@ -531,10 +531,6 @@ namespace detail {
 
 void pack_nt_panel(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
                    std::size_t ldp, float* dst) {
-    if (util::active_simd_tier() == SimdTier::kAvx2) {
-        pack_nt_panel_avx2(b, k_dim, n0, nb, ldp, dst);
-        return;
-    }
     // Reads walk B rows contiguously; the strided stores land on ldp-float
     // rows, which the pad keeps off a power-of-two stride.
     for (std::size_t j = 0; j < nb; ++j) {

@@ -50,10 +50,10 @@ void gemm_tn(const float* a, const float* b, float* c, std::size_t m_dim, std::s
              std::size_t n_dim, util::ThreadPool* pool = nullptr);
 
 // The B operand of gemm_nt ([N,K] row-major — a Linear weight) repacked once
-// into the transposed panels the avx2 broadcast micro-kernel reads, so
-// callers that multiply by the same matrix many times (decode) skip the
-// per-call transpose gemm_nt pays. A snapshot: later writes to the source
-// matrix are not seen. About (K * (N + 16)) floats per 256-column panel.
+// into transposed column panels, which the broadcast micro-kernels of every
+// tier read, so callers that multiply by the same matrix many times (decode)
+// skip the per-call transpose gemm_nt pays on avx2. A snapshot: later writes
+// to the source matrix are not seen. K * (256 + 16) floats per panel.
 class PackedNt {
 public:
     PackedNt() = default;

@@ -115,9 +115,8 @@ void bcast_row_tile(const float* a, std::size_t lda, const float* b, std::size_t
         }
     }
     if (j < nb) {
-        const __m256i tail = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nb - j)),
-                                                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        bcast_tile<kATransposed, MR, 1, true>(a, lda, b + j, ldb, c + j, ldc, k_dim, tail);
+        bcast_tile<kATransposed, MR, 1, true>(a, lda, b + j, ldb, c + j, ldc, k_dim,
+                                              tail_mask(nb - j));
     }
 }
 

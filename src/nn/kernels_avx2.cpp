@@ -255,11 +255,6 @@ inline __m256 gelu_grad256(__m256 x) {
     return _mm256_fmadd_ps(two_x_du, _mm256_mul_ps(_mm256_mul_ps(e, s), s), s);
 }
 
-inline __m256i tail_mask(std::size_t n) {
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
 }  // namespace
 
 void bias_gelu_row_avx2(float* row, const float* bias, std::size_t d) {

@@ -29,6 +29,12 @@ inline float hsum8(__m256 v) {
     return _mm_cvtss_f32(s);
 }
 
+// Lanes [0, n) set, for masked loads and stores of a row's last n < 8 floats.
+inline __m256i tail_mask(std::size_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 // Canonical dot product along a contiguous extent: two 8-lane FMA
 // accumulators over 16-element steps, an 8-element step, one fixed-order
 // horizontal sum, then std::fma for the scalar tail (same rounding as the

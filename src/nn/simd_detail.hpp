@@ -40,7 +40,8 @@ inline constexpr std::size_t kPanelCols = 256;
 inline constexpr std::size_t kPanelPad = 16;
 // Transposes B columns [n0, n0 + nb) into dst ([k_dim x ldp], ldp >= nb + 8)
 // and zeroes the pad columns. Pure data movement: the avx2 form (8x8
-// register transposes) writes the same floats as the portable one.
+// register transposes, for gemm_nt's per-call pack) writes the same floats
+// as the portable one (PackedNt's pack-once).
 void pack_nt_panel(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
                    std::size_t ldp, float* dst);
 void pack_nt_panel_avx2(const float* b, std::size_t k_dim, std::size_t n0, std::size_t nb,
