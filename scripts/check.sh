@@ -17,6 +17,7 @@
 #   scripts/check.sh train       # train-labeled tests, then rerun determinism with CPT_THREADS=2
 #   scripts/check.sh scale       # scale-labeled tests + 50k-UE streaming smoke under an RSS bound
 #   scripts/check.sh spec        # spec-labeled tests (speculative-decode identities) per SIMD tier
+#   scripts/check.sh repeat      # full suite in parallel, each test up to 3 times (shared-state races)
 #
 # Any subset may be requested by name (`scripts/check.sh sa tsan`). Each stage
 # configures into its own build directory (build-check-<stage>) so repeat runs
@@ -395,7 +396,17 @@ stage_scale() {
     (cd "$dir/bench" && ./bench_scale --pops=50000 --assert-rss-mb=200)
 }
 
-all_stages=(werror tidy annotate sa ubsan asan tsan simd quant serve router train scale spec)
+stage_repeat() {
+    echo "== stage: repeat (full suite under ctest -j, each test run up to 3 times) =="
+    # ctest runs each gtest case as its own process, so cases that share a
+    # file, port or directory race only when they overlap. One pass rarely
+    # shows it; three parallel passes make such a race show up as a failure.
+    local dir="$ROOT/build-check-repeat"
+    configure_and_build "$dir"
+    run_ctest "$dir" --repeat until-fail:3
+}
+
+all_stages=(werror tidy annotate sa ubsan asan tsan simd quant serve router train scale spec repeat)
 
 run_stage() {
     case "$1" in
@@ -413,6 +424,7 @@ run_stage() {
         train) stage_train ;;
         scale) stage_scale ;;
         spec) stage_spec ;;
+        repeat) stage_repeat ;;
         *)
             echo "unknown stage '$1' (expected: ${all_stages[*]})" >&2
             exit 2

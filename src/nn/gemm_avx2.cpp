@@ -19,6 +19,7 @@
 #include "simd_avx2_inl.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 namespace cpt::nn::detail {
@@ -320,57 +321,117 @@ void gemv_q8_dots_avx2(const std::uint8_t* a, const std::int8_t* w, std::int32_t
     const __m256i ones = _mm256_set1_epi16(1);
     const std::size_t k32 = k_dim & ~std::size_t{31};
     std::size_t j = 0;
-    // Four weight rows per pass: the activation block is loaded once and the
-    // four independent i32 accumulators keep the multiply ports busy.
-    for (; j + 4 <= n_dim; j += 4) {
+    // Eight weight rows per pass: the activation block is loaded once, the
+    // eight independent i32 accumulators keep the multiply ports busy, and a
+    // three-level hadd tree folds them into one register of eight sums in
+    // place of eight horizontal reductions.
+    for (; j + 8 <= n_dim; j += 8) {
         const std::int8_t* w0 = w + j * k_dim;
-        const std::int8_t* w1 = w0 + k_dim;
-        const std::int8_t* w2 = w1 + k_dim;
-        const std::int8_t* w3 = w2 + k_dim;
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        __m256i acc2 = _mm256_setzero_si256();
-        __m256i acc3 = _mm256_setzero_si256();
+        __m256i acc[8];
+        for (__m256i& v : acc) v = _mm256_setzero_si256();
         for (std::size_t i = 0; i < k32; i += 32) {
             const __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-            acc0 = _mm256_add_epi32(
-                acc0, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w0 + i))),
-                          ones));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w1 + i))),
-                          ones));
-            acc2 = _mm256_add_epi32(
-                acc2, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w2 + i))),
-                          ones));
-            acc3 = _mm256_add_epi32(
-                acc3, _mm256_madd_epi16(
-                          _mm256_maddubs_epi16(
-                              av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w3 + i))),
-                          ones));
+            for (std::size_t r = 0; r < 8; ++r) {
+                const __m256i wv =
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w0 + r * k_dim + i));
+                acc[r] = _mm256_add_epi32(
+                    acc[r], _mm256_madd_epi16(_mm256_maddubs_epi16(av, wv), ones));
+            }
         }
-        std::int32_t s0 = hsum8_epi32(acc0);
-        std::int32_t s1 = hsum8_epi32(acc1);
-        std::int32_t s2 = hsum8_epi32(acc2);
-        std::int32_t s3 = hsum8_epi32(acc3);
-        for (std::size_t i = k32; i < k_dim; ++i) {
-            const std::int32_t av = a[i];
-            s0 += av * w0[i];
-            s1 += av * w1[i];
-            s2 += av * w2[i];
-            s3 += av * w3[i];
+        // hadd(x, y) = [x01 x23 y01 y23 | x45 x67 y45 y67] per 128-bit half, so
+        // two levels give [s0..s3 over lanes 0-3 | s0..s3 over lanes 4-7].
+        const __m256i h0 = _mm256_hadd_epi32(_mm256_hadd_epi32(acc[0], acc[1]),
+                                             _mm256_hadd_epi32(acc[2], acc[3]));
+        const __m256i h1 = _mm256_hadd_epi32(_mm256_hadd_epi32(acc[4], acc[5]),
+                                             _mm256_hadd_epi32(acc[6], acc[7]));
+        const __m256i sums = _mm256_add_epi32(_mm256_permute2x128_si256(h0, h1, 0x20),
+                                              _mm256_permute2x128_si256(h0, h1, 0x31));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(idot + j), sums);
+        for (std::size_t r = 0; r < 8 && k32 < k_dim; ++r) {
+            const std::int8_t* wr = w0 + r * k_dim;
+            std::int32_t s = 0;
+            for (std::size_t i = k32; i < k_dim; ++i) {
+                s += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(wr[i]);
+            }
+            idot[j + r] += s;
         }
-        idot[j] = s0;
-        idot[j + 1] = s1;
-        idot[j + 2] = s2;
-        idot[j + 3] = s3;
     }
     for (; j < n_dim; ++j) idot[j] = dot_q8_avx2(a, w + j * k_dim, k_dim);
+}
+
+// ---- Int8 activation quantizer -------------------------------------------------
+// The vector form of quant.cpp's scalar row loop, operation for operation:
+// max_ps/min_ps return their SECOND operand when either input is NaN, so
+// max_ps(v, acc) is std::max(acc, v) and max_ps(q, lo) / min_ps(q, hi) are
+// std::max(lo, q) / std::min(hi, q), NaN cases included; the multiply is a
+// lone IEEE product, and VROUNDPS to nearest rounds as std::nearbyintf does in
+// the default mode. Max is exact, so the lane-parallel abs-max is order-free.
+
+float absmax_avx2(const float* x, std::size_t n) {
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    __m256 m0 = _mm256_setzero_ps();
+    __m256 m1 = _mm256_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        m0 = _mm256_max_ps(_mm256_andnot_ps(sign, _mm256_loadu_ps(x + i)), m0);
+        m1 = _mm256_max_ps(_mm256_andnot_ps(sign, _mm256_loadu_ps(x + i + 8)), m1);
+    }
+    for (; i + 8 <= n; i += 8) {
+        m0 = _mm256_max_ps(_mm256_andnot_ps(sign, _mm256_loadu_ps(x + i)), m0);
+    }
+    if (i < n) {  // masked-off lanes load +0, which cannot raise the max
+        const __m256 v = _mm256_maskload_ps(x + i, tail_mask(n - i));
+        m1 = _mm256_max_ps(_mm256_andnot_ps(sign, v), m1);
+    }
+    // The accumulators never hold NaN, so the fold order is free.
+    const __m256 m = _mm256_max_ps(m0, m1);
+    __m128 s = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps(m, 1));
+    s = _mm_max_ps(s, _mm_movehl_ps(s, s));
+    s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
+    return _mm_cvtss_f32(s);
+}
+
+namespace {
+
+// Eight offset-64 codes as i32 lanes: clamp(round(x * inv), -63, 63) + 64.
+inline __m256i q7_codes8(__m256 x, __m256 inv) {
+    __m256 q = _mm256_round_ps(_mm256_mul_ps(x, inv),
+                               _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    q = _mm256_min_ps(_mm256_max_ps(q, _mm256_set1_ps(-63.0f)), _mm256_set1_ps(63.0f));
+    return _mm256_add_epi32(_mm256_cvtps_epi32(q), _mm256_set1_epi32(64));
+}
+
+// Eight i32 codes in [1, 127] narrowed to eight bytes in the low half.
+inline __m128i narrow8(__m256i c) {
+    const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(c), _mm256_extracti128_si256(c, 1));
+    return _mm_packus_epi16(w16, w16);
+}
+
+}  // namespace
+
+void q7_codes_avx2(const float* x, std::size_t n, float inv, std::uint8_t* q) {
+    const __m256 vinv = _mm256_set1_ps(inv);
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        const __m256i c0 = q7_codes8(_mm256_loadu_ps(x + i), vinv);
+        const __m256i c1 = q7_codes8(_mm256_loadu_ps(x + i + 8), vinv);
+        const __m256i c2 = q7_codes8(_mm256_loadu_ps(x + i + 16), vinv);
+        const __m256i c3 = q7_codes8(_mm256_loadu_ps(x + i + 24), vinv);
+        // The in-lane packs leave the dwords as [c0 c1 c2 c3 lo | c0 c1 c2 c3
+        // hi] (four codes each); one permute restores element order.
+        const __m256i b = _mm256_packus_epi16(_mm256_packs_epi32(c0, c1),
+                                              _mm256_packs_epi32(c2, c3));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + i),
+                            _mm256_permutevar8x32_epi32(b, _mm256_setr_epi32(0, 4, 1, 5, 2, 6,
+                                                                             3, 7)));
+    }
+    for (; i < n; i += 8) {
+        const std::size_t w = std::min<std::size_t>(8, n - i);
+        alignas(16) std::uint8_t codes[16];
+        _mm_store_si128(reinterpret_cast<__m128i*>(codes),
+                        narrow8(q7_codes8(_mm256_maskload_ps(x + i, tail_mask(w)), vinv)));
+        std::memcpy(q + i, codes, w);
+    }
 }
 
 }  // namespace cpt::nn::detail
@@ -408,6 +469,8 @@ void gemv_q8_dots_avx2(const std::uint8_t*, const std::int8_t*, std::int32_t*, s
                        std::size_t) {
     missing();
 }
+float absmax_avx2(const float*, std::size_t) { missing(); }
+void q7_codes_avx2(const float*, std::size_t, float, std::uint8_t*) { missing(); }
 
 }  // namespace cpt::nn::detail
 

@@ -142,21 +142,30 @@ void quantize_activations(const float* x, std::size_t rows, std::size_t k, Quant
     qs.ensure(rows, k);
     std::uint8_t* qa = qs.qa.data();
     float* ascale = qs.ascale.data();
+    const bool avx2 = util::active_simd_tier() == SimdTier::kAvx2;
     pick(pool).parallel_for(rows, util::grain_for(6 * k), [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const float* row = x + r * k;
             std::uint8_t* qrow = qa + r * k;
             float amax = 0.0f;
-            for (std::size_t j = 0; j < k; ++j) amax = std::max(amax, std::fabs(row[j]));
+            if (avx2) {
+                amax = detail::absmax_avx2(row, k);
+            } else {
+                for (std::size_t j = 0; j < k; ++j) amax = std::max(amax, std::fabs(row[j]));
+            }
             // amax == 0: all codes collapse to the offset (q = 0) and the
             // zero scale annihilates the epilogue — the row contributes
             // exactly its bias.
             const float inv = amax > 0.0f ? 63.0f / amax : 0.0f;
             ascale[r] = amax > 0.0f ? amax / 63.0f : 0.0f;
-            for (std::size_t j = 0; j < k; ++j) {
-                float q = std::nearbyintf(row[j] * inv);
-                q = std::min(63.0f, std::max(-63.0f, q));
-                qrow[j] = static_cast<std::uint8_t>(static_cast<std::int32_t>(q) + 64);
+            if (avx2) {
+                detail::q7_codes_avx2(row, k, inv, qrow);
+            } else {
+                for (std::size_t j = 0; j < k; ++j) {
+                    float q = std::nearbyintf(row[j] * inv);
+                    q = std::min(63.0f, std::max(-63.0f, q));
+                    qrow[j] = static_cast<std::uint8_t>(static_cast<std::int32_t>(q) + 64);
+                }
             }
         }
     });

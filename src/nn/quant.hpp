@@ -18,9 +18,15 @@
 // quantized matmul output is byte-identical across scalar/sse2/avx2 AND
 // across thread counts, a strictly stronger contract than the fp32 kernels.
 //
-// Rounding: activation codes use std::nearbyintf under the default
-// round-to-nearest-even mode, the same rounding VCVTPS2DQ performs, so a
-// future vectorized quantizer could not drift either.
+// Activation quantization runs in two forms that agree byte for byte. The
+// scalar and sse2 tiers use a loop of std::max/std::fabs, one multiply by
+// 63/amax, std::nearbyintf and a std::max/std::min clamp; the avx2 tier runs
+// the same operations eight lanes wide (VMAXPS, VMULPS, VROUNDPS to nearest,
+// VMINPS). Max is exact, so the lane-parallel abs-max cannot differ from the
+// serial one; the multiply is one IEEE product with nothing to contract;
+// VROUNDPS to nearest rounds ties to even as nearbyintf does in the default
+// mode; and the max/min operand order returns the same clamp bound as
+// std::max/std::min when a product is NaN.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +57,9 @@ struct QuantScratch {
     void ensure(std::size_t rows, std::size_t k);
 };
 
-// Per-row 7-bit activation quantization into qs (scalar ascending arithmetic
-// on every tier; cost is O(rows*k), negligible next to the O(rows*k*n)
-// matmul it feeds).
+// Per-row 7-bit activation quantization into qs: codes and ascale are the
+// same bytes on every tier (see the header comment). O(rows*k), but at one
+// decode row it is a sizeable share of a k x n int8 Linear unless vectorized.
 void quantize_activations(const float* x, std::size_t rows, std::size_t k, QuantScratch& qs,
                           util::ThreadPool* pool = nullptr);
 

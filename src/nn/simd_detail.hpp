@@ -89,6 +89,12 @@ void bias_gelu_backward_row_avx2(const float* x, const float* bias, const float*
 // fire), so the result matches the scalar/sse2 forms bit for bit.
 void gemv_q8_dots_avx2(const std::uint8_t* a, const std::int8_t* w, std::int32_t* idot,
                        std::size_t k_dim, std::size_t n_dim);
+// The activation quantizer's two passes over one row (quant.cpp keeps the
+// scale arithmetic): max_j |x[j]|, then q[j] = clamp(round(x[j] * inv), -63,
+// 63) + 64. Both produce the scalar loop's results bit for bit, NaN, Inf and
+// subnormal inputs included.
+float absmax_avx2(const float* x, std::size_t n);
+void q7_codes_avx2(const float* x, std::size_t n, float inv, std::uint8_t* q);
 
 // fp16 KV-cache kernels (infer.cpp via kernels.cpp). Encode rounds to
 // nearest-even exactly like the software converter in fp16.hpp (VCVTPS2PH

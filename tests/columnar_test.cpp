@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,13 +19,10 @@
 #include "trace/io.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_path.hpp"
 
 namespace cpt::trace {
 namespace {
-
-std::string tmp_path(const std::string& name) {
-    return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -76,7 +72,7 @@ TEST(ColumnarFormat, TickQuantizationRoundTripsCsvPrecision) {
 
 TEST(ColumnarFormat, DatasetRoundTrip) {
     const auto ds = small_world();
-    const std::string path = tmp_path("cpt_columnar_roundtrip.cpt");
+    const std::string path = test::temp_path("cpt_columnar_roundtrip.cpt");
     write_columnar_file(path, ds, 16);
     const auto back = read_columnar_file(path);
     expect_datasets_equal(ds, back);
@@ -85,9 +81,9 @@ TEST(ColumnarFormat, DatasetRoundTrip) {
 
 TEST(ColumnarFormat, CsvColumnarCsvIsByteStable) {
     const auto ds = small_world();
-    const std::string csv_a = tmp_path("cpt_columnar_a.csv");
-    const std::string col = tmp_path("cpt_columnar_mid.cpt");
-    const std::string csv_b = tmp_path("cpt_columnar_b.csv");
+    const std::string csv_a = test::temp_path("cpt_columnar_a.csv");
+    const std::string col = test::temp_path("cpt_columnar_mid.cpt");
+    const std::string csv_b = test::temp_path("cpt_columnar_b.csv");
     write_csv_file(csv_a, ds);
 
     const auto stats = csv_to_columnar(csv_a, col, 16);
@@ -103,7 +99,7 @@ TEST(ColumnarFormat, CsvColumnarCsvIsByteStable) {
 TEST(ColumnarFormat, ChunkBoundariesPreserveStreamOrder) {
     const auto ds = small_world();
     ASSERT_GT(ds.streams.size(), 7u);
-    const std::string path = tmp_path("cpt_columnar_chunks.cpt");
+    const std::string path = test::temp_path("cpt_columnar_chunks.cpt");
     ColumnarStats stats;
     {
         ColumnarWriter writer(path, ds.generation, 3);  // force many tiny chunks
@@ -134,7 +130,7 @@ TEST(ColumnarFormat, ChunkBoundariesPreserveStreamOrder) {
 }
 
 TEST(ColumnarFormat, EmptyDatasetRoundTrip) {
-    const std::string path = tmp_path("cpt_columnar_empty.cpt");
+    const std::string path = test::temp_path("cpt_columnar_empty.cpt");
     Dataset empty;
     empty.generation = cellular::Generation::kNr5G;
     write_columnar_file(path, empty);
@@ -154,7 +150,7 @@ TEST(ColumnarFormat, EmptyDatasetRoundTrip) {
 
 TEST(ColumnarFormat, TruncatedFileRejectedWithOffset) {
     const auto ds = small_world(10);
-    const std::string path = tmp_path("cpt_columnar_trunc.cpt");
+    const std::string path = test::temp_path("cpt_columnar_trunc.cpt");
     write_columnar_file(path, ds);
     const std::string bytes = slurp(path);
 
@@ -179,7 +175,7 @@ TEST(ColumnarFormat, TruncatedFileRejectedWithOffset) {
 
 TEST(ColumnarFormat, CorruptMagicsRejectedWithOffset) {
     const auto ds = small_world(10);
-    const std::string path = tmp_path("cpt_columnar_corrupt.cpt");
+    const std::string path = test::temp_path("cpt_columnar_corrupt.cpt");
     write_columnar_file(path, ds);
     const std::string bytes = slurp(path);
 
@@ -222,7 +218,7 @@ TEST(ColumnarFormat, CorruptDeviceColumnRejectedAtExactOffset) {
     s.ue_id = "a";
     s.events = {{0.5, cellular::lte::kSrvReq}, {1.0, cellular::lte::kS1ConnRel}};
     ds.streams.push_back(s);
-    const std::string path = tmp_path("cpt_columnar_device.cpt");
+    const std::string path = test::temp_path("cpt_columnar_device.cpt");
     write_columnar_file(path, ds);
 
     std::string bad = slurp(path);
@@ -241,7 +237,7 @@ TEST(ColumnarFormat, CorruptDeviceColumnRejectedAtExactOffset) {
 }
 
 TEST(ColumnarWriterTest, RejectsBadAppends) {
-    const std::string path = tmp_path("cpt_columnar_badappend.cpt");
+    const std::string path = test::temp_path("cpt_columnar_badappend.cpt");
     {
         ColumnarWriter writer(path, cellular::Generation::kLte4G);
         Stream s;
@@ -263,7 +259,7 @@ TEST(ChunkedGeneration, WorldGeneratorByteIdenticalToInRamPath) {
     cfg.seed = 77;
     const SyntheticWorldGenerator gen(cfg);
 
-    const std::string ram_path = tmp_path("cpt_chunked_ram.cpt");
+    const std::string ram_path = test::temp_path("cpt_chunked_ram.cpt");
     write_columnar_file(ram_path, gen.generate(), 16);
     const std::string ram_bytes = slurp(ram_path);
     std::remove(ram_path.c_str());
@@ -272,7 +268,7 @@ TEST(ChunkedGeneration, WorldGeneratorByteIdenticalToInRamPath) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
         util::set_global_threads(threads);
         for (const std::size_t chunk_ues : {std::size_t{7}, std::size_t{64}}) {
-            const std::string path = tmp_path("cpt_chunked_stream.cpt");
+            const std::string path = test::temp_path("cpt_chunked_stream.cpt");
             {
                 ColumnarWriter writer(path, cfg.generation, 16);
                 gen.generate_to(writer, chunk_ues);
@@ -305,7 +301,7 @@ TEST(ChunkedGeneration, SamplerByteIdenticalToInRamPath) {
     scfg.max_stream_len = 16;
     const core::Sampler sampler(model, tok, world.initial_event_distribution(), scfg);
 
-    const std::string ram_path = tmp_path("cpt_sampler_ram.cpt");
+    const std::string ram_path = test::temp_path("cpt_sampler_ram.cpt");
     {
         util::Rng rng(5);
         write_columnar_file(ram_path, sampler.generate(20, rng), 8);
@@ -316,7 +312,7 @@ TEST(ChunkedGeneration, SamplerByteIdenticalToInRamPath) {
     const std::size_t prev = util::global_pool().threads();
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
         util::set_global_threads(threads);
-        const std::string path = tmp_path("cpt_sampler_stream.cpt");
+        const std::string path = test::temp_path("cpt_sampler_stream.cpt");
         {
             util::Rng rng(5);
             ColumnarWriter writer(path, tok.generation(), 8);
@@ -353,7 +349,7 @@ TEST(StreamingPaths, LintMatchesInRamReport) {
     const auto ds =
         core::Sampler(model, tok, world.initial_event_distribution()).generate(40, rng);
 
-    const std::string path = tmp_path("cpt_streaming_lint.cpt");
+    const std::string path = test::temp_path("cpt_streaming_lint.cpt");
     write_columnar_file(path, ds, 8);  // several chunks
     ColumnarReader reader(path);
 
@@ -398,8 +394,8 @@ TEST(StreamingPaths, FidelityMatchesInRamWithinSketchError) {
 
     const auto exact = metrics::evaluate_fidelity(synth, ref);
 
-    const std::string synth_path = tmp_path("cpt_streaming_fid_synth.cpt");
-    const std::string ref_path = tmp_path("cpt_streaming_fid_ref.cpt");
+    const std::string synth_path = test::temp_path("cpt_streaming_fid_synth.cpt");
+    const std::string ref_path = test::temp_path("cpt_streaming_fid_ref.cpt");
     write_columnar_file(synth_path, synth);
     write_columnar_file(ref_path, ref);
     ColumnarReader synth_reader(synth_path);

@@ -5,13 +5,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 
 #include "core/model.hpp"
 #include "core/sampler.hpp"
 #include "core/trainer.hpp"
 #include "metrics/fidelity.hpp"
 #include "trace/synthetic.hpp"
+#include "temp_path.hpp"
 
 namespace cpt::core {
 namespace {
@@ -133,8 +133,7 @@ TEST(ModelTest, PackageRoundTrip) {
     util::Rng rng(3);
     const CptGpt model(tok, tiny_config(), rng);
     const auto dist = world.initial_event_distribution();
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "cptgpt_pkg_test.bin").string();
+    const std::string path = test::temp_path("pkg.bin");
     model.save_package(path, tok, dist);
 
     const auto pkg = CptGpt::load_package(path, cellular::Generation::kLte4G, tiny_config());

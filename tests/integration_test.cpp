@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "core/model.hpp"
@@ -16,6 +15,7 @@
 #include "trace/io.hpp"
 #include "trace/ngram.hpp"
 #include "trace/synthetic.hpp"
+#include "temp_path.hpp"
 
 namespace cpt {
 namespace {
@@ -65,8 +65,7 @@ TEST(PipelineTest, PackagedModelGeneratesIdenticalTraces) {
     core::Trainer(model, tok, tcfg).train(data);
 
     const auto dist = data.initial_event_distribution();
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "cpt_integration_pkg.bin").string();
+    const std::string path = test::temp_path("pkg.bin");
     model.save_package(path, tok, dist);
     const auto pkg = core::CptGpt::load_package(path, cellular::Generation::kLte4G, cfg);
 

@@ -2,11 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "nn/modules.hpp"
 #include "nn/optim.hpp"
 #include "nn/serialize.hpp"
+#include "temp_path.hpp"
 
 namespace cpt::nn {
 namespace {
@@ -88,8 +88,7 @@ TEST(SerializeTest, RoundTripRestoresWeights) {
     util::Rng rng(11);
     Mlp a(3, 5, 2, rng);
     Mlp b(3, 5, 2, rng);  // different init
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "cpt_nn_ckpt_test.bin").string();
+    const std::string path = test::temp_path("ckpt.bin");
     save_parameters(path, a.named_parameters("mlp."));
     load_parameters(path, b.named_parameters("mlp."));
     const auto pa = a.parameters();
@@ -108,8 +107,7 @@ TEST(SerializeTest, MismatchesRejected) {
     Mlp a(3, 5, 2, rng);
     Mlp wrong_shape(3, 6, 2, rng);
     Mlp wrong_names(3, 5, 2, rng);
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "cpt_nn_ckpt_test2.bin").string();
+    const std::string path = test::temp_path("ckpt.bin");
     save_parameters(path, a.named_parameters("mlp."));
     EXPECT_THROW(load_parameters(path, wrong_shape.named_parameters("mlp.")), std::runtime_error);
     EXPECT_THROW(load_parameters(path, wrong_names.named_parameters("other.")), std::runtime_error);

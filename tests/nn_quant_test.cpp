@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -33,6 +35,7 @@
 #include "trace/synthetic.hpp"
 #include "util/cpu.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_path.hpp"
 
 namespace cpt::nn {
 namespace {
@@ -283,6 +286,181 @@ TEST(QuantTest, GemmQ8ByteIdenticalAcrossTiersAndThreads) {
     }
 }
 
+// Edge rows for the activation quantizer. Each pattern repeats cyclically to
+// the row length, so every k sees it in the vector body and in the tails.
+std::vector<std::vector<float>> quantizer_edge_patterns() {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float den = std::numeric_limits<float>::denorm_min();
+    return {
+        // amax 63 -> inv exactly 1: x * inv = n + 0.5, both parities of n.
+        {63.0f, 0.5f, 1.5f, 2.5f, 3.5f, -0.5f, -1.5f, -2.5f, 62.5f, -62.5f, 61.5f},
+        // amax 126 -> inv exactly 0.5: odd integers land on ties.
+        {126.0f, 1.0f, 3.0f, -5.0f, 7.0f, -125.0f, 123.0f, 0.0f, -1.0f},
+        // Elements at +-amax map exactly to +-63 (codes 127 and 1).
+        {3.7f, -3.7f, 1.0f, -3.7f, 3.7f, 0.25f},
+        {0.0f},
+        {-0.0f},
+        {0.0f, -0.0f},
+        // Subnormals: 63 / amax overflows to +inf, so a zero element yields
+        // 0 * inf = NaN, which the clamp sends to -63.
+        {den, -den, 0.0f, 3.0f * den, -2.0f * den},
+        {den * 1000.0f, -den * 77.0f, den},
+        {1.0f, den, -den, 0.5f},
+        {inf, 1.0f, -2.0f, 0.0f},
+        {-inf, 0.5f, 3.0f},
+        {nan, 1.0f, -2.0f, 0.0f},
+        {1.0f, nan, -0.75f, 0.3f},
+        {nan},
+        {inf, nan, -inf},
+    };
+}
+
+// The quantizer contract: every tier writes the scalar tier's codes and
+// scale bytes, including ties, the +-63 clamp boundary, signed zeros,
+// subnormals and non-finite rows, at every row length the vector body and its
+// tails can see.
+TEST(QuantTest, ActivationQuantizerMatchesScalarOnEdgeRows) {
+    const auto patterns = quantizer_edge_patterns();
+    const std::size_t ks[] = {1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 1024};
+    for (std::size_t k : ks) {
+        const std::size_t rows = patterns.size() + 1;
+        std::vector<float> x(rows * k);
+        for (std::size_t r = 0; r < patterns.size(); ++r) {
+            for (std::size_t j = 0; j < k; ++j) {
+                // Rotate by the row index so the first element varies too.
+                x[r * k + j] = patterns[r][(j + r) % patterns[r].size()];
+            }
+        }
+        // One unique maximum followed by NaNs at every eighth element: a NaN
+        // must not displace a maximum already seen, whichever lane holds it.
+        float* last = x.data() + patterns.size() * k;
+        for (std::size_t j = 0; j < k; ++j) {
+            last[j] = j == 0 ? 50.0f
+                      : j % 8 == 0 ? std::numeric_limits<float>::quiet_NaN()
+                                   : 0.01f * static_cast<float>(j % 97);
+        }
+        QuantScratch reference;
+        {
+            TierGuard guard(SimdTier::kScalar);
+            quantize_activations(x.data(), rows, k, reference);
+        }
+        for (SimdTier tier : available_tiers()) {
+            TierGuard guard(tier);
+            // All rows in one call, and each row on its own.
+            QuantScratch qs;
+            quantize_activations(x.data(), rows, k, qs);
+            ASSERT_EQ(std::memcmp(qs.qa.data(), reference.qa.data(), rows * k), 0)
+                << "codes, tier " << util::simd_tier_name(tier) << " k=" << k;
+            ASSERT_EQ(std::memcmp(qs.ascale.data(), reference.ascale.data(), rows * sizeof(float)),
+                      0)
+                << "ascale, tier " << util::simd_tier_name(tier) << " k=" << k;
+            for (std::size_t r = 0; r < rows; ++r) {
+                QuantScratch one;
+                quantize_activations(x.data() + r * k, 1, k, one);
+                ASSERT_EQ(std::memcmp(one.qa.data(), reference.qa.data() + r * k, k), 0)
+                    << "codes, tier " << util::simd_tier_name(tier) << " k=" << k << " row " << r;
+                ASSERT_EQ(
+                    std::memcmp(one.ascale.data(), reference.ascale.data() + r, sizeof(float)), 0)
+                    << "ascale, tier " << util::simd_tier_name(tier) << " k=" << k << " row " << r;
+            }
+        }
+    }
+}
+
+// Pins the rounding itself, not only tier agreement: ties go to even, the
+// clamp holds at +-63, and NaN or a zero times an infinite inverse scale
+// lands on the lower clamp.
+TEST(QuantTest, ActivationQuantizerRoundsTiesToEven) {
+    const float den = std::numeric_limits<float>::denorm_min();
+    const float x[] = {63.0f, 0.5f, 1.5f, 2.5f, -0.5f, -1.5f, -2.5f, -63.0f, 62.5f};
+    const std::uint8_t want[] = {127, 64, 66, 66, 64, 62, 62, 1, 126};
+    const float sub[] = {den, 0.0f, -den};
+    const std::uint8_t want_sub[] = {127, 1, 1};
+    for (SimdTier tier : available_tiers()) {
+        TierGuard guard(tier);
+        QuantScratch qs;
+        quantize_activations(x, 1, std::size(x), qs);
+        EXPECT_EQ(std::memcmp(qs.qa.data(), want, std::size(want)), 0)
+            << util::simd_tier_name(tier);
+        EXPECT_EQ(qs.ascale[0], 1.0f);
+        quantize_activations(sub, 1, std::size(sub), qs);
+        EXPECT_EQ(std::memcmp(qs.qa.data(), want_sub, std::size(want_sub)), 0)
+            << util::simd_tier_name(tier);
+    }
+}
+
+// The integer dots through gemm_q8_nt with unit scales and zero row sums, so
+// each output is float(idot) — exact below 2^24, which covers every case
+// here. n walks every tail of the eight-row pass and the 512-wide chunk edge;
+// k walks the 32-byte block and its scalar tail.
+TEST(QuantTest, Q8DotsMatchScalarAtEveryTail) {
+    std::mt19937 gen(47);
+    std::uniform_int_distribution<int> code(1, 127);
+    std::uniform_int_distribution<int> weight(-127, 127);
+    const std::size_t ns[] = {1, 7, 8, 9, 15, 16, 17, 511, 512, 513, 1024};
+    const std::size_t ks[] = {1, 31, 32, 33, 128, 1024};
+    const std::size_t m = 2;
+    for (std::size_t n : ns) {
+        for (std::size_t k : ks) {
+            std::vector<std::uint8_t> qa(m * k);
+            for (auto& v : qa) v = static_cast<std::uint8_t>(code(gen));
+            std::vector<std::int8_t> wq(n * k);
+            for (auto& v : wq) v = static_cast<std::int8_t>(weight(gen));
+            const std::vector<float> ascale(m, 1.0f);
+            const std::vector<float> wscale(n, 1.0f);
+            const std::vector<std::int32_t> rowsum(n, 0);
+            std::vector<float> want(m * n);
+            for (std::size_t r = 0; r < m; ++r) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    std::int64_t s = 0;
+                    for (std::size_t i = 0; i < k; ++i) s += qa[r * k + i] * wq[j * k + i];
+                    want[r * n + j] = static_cast<float>(s);
+                }
+            }
+            for (SimdTier tier : available_tiers()) {
+                TierGuard guard(tier);
+                std::vector<float> c(m * n, 0.0f);
+                gemm_q8_nt(qa.data(), ascale.data(), wq.data(), wscale.data(), rowsum.data(),
+                           c.data(), m, k, n);
+                ASSERT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(float)), 0)
+                    << "tier " << util::simd_tier_name(tier) << " n=" << n << " k=" << k;
+            }
+        }
+    }
+}
+
+// The largest operands the 7-bit code contract admits: every code 127 against
+// weights of +-127 paired by sign, so every VPMADDUBSW pair sum is +-32258,
+// just under the i16 saturation point. Exact on every tier.
+TEST(QuantTest, Q8DotsExactAtSaturationBoundary) {
+    const std::size_t n = 17;
+    const std::size_t k = 1024;
+    const std::vector<std::uint8_t> qa(k, 127);
+    std::vector<std::int8_t> wq(n * k);
+    std::vector<float> want(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        std::int64_t s = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            // Both halves of a pair share a sign; the sign pattern varies by row.
+            const bool neg = ((i / 2 + j) % 3) == 0;
+            wq[j * k + i] = static_cast<std::int8_t>(neg ? -127 : 127);
+            s += 127 * wq[j * k + i];
+        }
+        want[j] = static_cast<float>(s);
+    }
+    const float one = 1.0f;
+    const std::vector<float> wscale(n, 1.0f);
+    const std::vector<std::int32_t> rowsum(n, 0);
+    for (SimdTier tier : available_tiers()) {
+        TierGuard guard(tier);
+        std::vector<float> c(n, 0.0f);
+        gemm_q8_nt(qa.data(), &one, wq.data(), wscale.data(), rowsum.data(), c.data(), 1, k, n);
+        ASSERT_EQ(std::memcmp(c.data(), want.data(), n * sizeof(float)), 0)
+            << "tier " << util::simd_tier_name(tier);
+    }
+}
+
 // ---- decoder numeric modes -------------------------------------------------
 
 TransformerConfig tiny_backbone() {
@@ -505,10 +683,7 @@ TEST(QuantModelTest, FidelityDriftBounded) {
 
 class QuantSerializeTest : public ::testing::Test {
 protected:
-    std::string temp_path(const char* name) {
-        const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
-        return ::testing::TempDir() + info->test_case_name() + "_" + info->name() + "_" + name;
-    }
+    static std::string temp_path(const char* name) { return test::temp_path(name); }
 };
 
 TEST_F(QuantSerializeTest, QuantizedPackageRoundTripsExactPayload) {

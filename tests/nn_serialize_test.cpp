@@ -12,6 +12,7 @@
 
 #include "nn/serialize.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace cpt::nn {
 namespace {
@@ -37,7 +38,7 @@ void expect_error_containing(F&& f, const std::string& needle) {
 
 struct SerializeFixture : ::testing::Test {
     void SetUp() override {
-        path = (std::filesystem::temp_directory_path() / "cpt_serialize_test.ckpt").string();
+        path = test::temp_path("serialize.ckpt");
         std::filesystem::remove(path);
     }
     void TearDown() override { std::filesystem::remove(path); }
