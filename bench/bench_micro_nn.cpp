@@ -80,7 +80,10 @@ struct GemmShape {
 };
 
 // d_model-scale and MLP-scale shapes from the default (64/256) and flagship
-// (128/1024) model configs, plus the M = 1 decode case.
+// (128/1024) model configs, plus the M = 1 decode case, and last the
+// flagship's MLP GEMMs over a ~1000-row training step. The notes name the
+// op that runs each shape in training: the two weight gradients are tn, and
+// walk A (fc1 dW) or B (fc2 dW) at a 4 KiB row stride.
 constexpr GemmShape kShapes[] = {
     {1, 64, 256, "decode fc1 (d_model=64)"},
     {1, 256, 64, "decode fc2 (d_model=64)"},
@@ -90,6 +93,9 @@ constexpr GemmShape kShapes[] = {
     {512, 64, 64, "qkv proj (batched seq)"},
     {512, 128, 128, "proj fwd (flagship d_model=128)"},
     {512, 128, 1024, "fc1 fwd (flagship mlp=1024)"},
+    {1024, 1000, 128, "fc1 dW as tn (train step ~1000 rows, flagship)"},
+    {128, 1000, 1024, "fc2 dW as tn (train step ~1000 rows, flagship)"},
+    {1000, 128, 1024, "fc1 fwd as nt (train step ~1000 rows, flagship)"},
 };
 
 double time_gflops(const std::function<void(float*)>& run, std::size_t m, std::size_t k,

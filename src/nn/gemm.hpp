@@ -19,6 +19,16 @@
 //   * avx2: one FMA chain per element in ascending k, added to C once (NT
 //     through transposed B panels, at every m) — tolerance vs the reference,
 //     still byte-stable across thread counts (tests/nn_simd_parity_test.cpp).
+//     TN walks both operands down their columns, so its loop order follows
+//     the strides, decided from (m, k, n) alone: with M >= 512 (A rows 2 KiB
+//     or more apart) each 16-column A strip is packed contiguous first; else
+//     with N >= 512 it computes C^T = gemm_tn(B, A) strip by strip and adds
+//     t[j,i] to c[i,j]. fma(a, b, acc) == fma(b, a, acc) exactly, and the
+//     C^T buffer starts at -0.0 (x + -0.0 == x for every x), so each element
+//     is still its one chain added to C once: TN equals NN over the
+//     materialized A^T, bit for bit, on every tier. The MLP weight gradients
+//     (1024 x 1000 x 128, 128 x 1000 x 1024) went from ~15 to ~35-50
+//     GFLOP/s on one lane; narrower shapes keep the unpacked walk.
 //
 // The K dimension is deliberately not split (no Kc accumulation blocking):
 // at this project's sizes (d_model <= 128, MLP <= 1024, vocab < 16) a full-K

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -216,6 +217,55 @@ TEST(GemmBitExactTest, NtRowBitsIndependentOfRowCount) {
                 EXPECT_EQ(std::memcmp(c_row.data(), c_all.data() + r * n, n * sizeof(float)), 0)
                     << util::simd_tier_name(tier) << " row " << r << " of " << m << " at k=" << k
                     << " n=" << n;
+            }
+        }
+    }
+}
+
+std::vector<float> transposed(const std::vector<float>& x, std::size_t rows, std::size_t cols) {
+    std::vector<float> t(x.size());
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = x[r * cols + c];
+    }
+    return t;
+}
+
+// The TN accumulation contract on the active tier, at the shapes where avx2
+// packs A strips (M wide), computes C^T (N wide), or walks both operands
+// unpacked: each C element is one ascending-k chain added to C once. So
+// gemm_tn equals gemm_nn over the materialized A^T, and the transpose of
+// gemm_tn with the operands swapped (fma(a, b, acc) == fma(b, a, acc)), at
+// any lane count. A non-zero C pins "added once".
+TEST(GemmBitExactTest, TnMatchesNnAndSwappedOperandsOnActiveTier) {
+    std::mt19937 gen(61);
+    const std::size_t shapes[][3] = {
+        {1024, 1000, 128}, {128, 1000, 1024}, {128, 1000, 128}, {1027, 67, 130},
+        {130, 67, 1027},   {2048, 33, 9},     {9, 33, 2048},
+    };
+    util::ThreadPool pool1(1);
+    util::ThreadPool pool4(4);
+    const char* tier = util::simd_tier_name(util::active_simd_tier());
+    for (const auto& s : shapes) {
+        const std::size_t m = s[0], k = s[1], n = s[2];
+        const auto a = random_floats(k * m, gen);  // [K, M]
+        const auto b = random_floats(k * n, gen);  // [K, N]
+        const auto at = transposed(a, k, m);       // [M, K]
+        for (const bool zero_c : {true, false}) {
+            const auto c0 = zero_c ? std::vector<float>(m * n, 0.0f) : random_floats(m * n, gen);
+            for (util::ThreadPool* pool : {&pool1, &pool4}) {
+                auto c_tn = c0;
+                gemm_tn(a.data(), b.data(), c_tn.data(), m, k, n, pool);
+                auto c_nn = c0;
+                gemm_nn(at.data(), b.data(), c_nn.data(), m, k, n, pool);
+                auto c_swap_t = transposed(c0, m, n);
+                gemm_tn(b.data(), a.data(), c_swap_t.data(), n, k, m, pool);
+                const auto c_swap = transposed(c_swap_t, n, m);
+                const std::string what = std::string(tier) + (zero_c ? " zero C, " : " with C, ") +
+                                         std::to_string(pool->threads()) + " lanes";
+                expect_bitwise_equal(c_tn, c_nn, (what + ": gemm_tn vs gemm_nn(A^T)").c_str(), m,
+                                     k, n);
+                expect_bitwise_equal(c_tn, c_swap, (what + ": gemm_tn vs swapped^T").c_str(), m,
+                                     k, n);
             }
         }
     }
